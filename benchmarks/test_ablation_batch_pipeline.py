@@ -1,4 +1,4 @@
-"""Ablation -- batch-vectorized pipeline + parallel scatter-gather scan.
+"""Ablation -- parallel scatter-gather scan in the query pipeline.
 
 Section 5.1: a secondary-index scan fans out to every index partition
 and the query service merges the per-partition streams.  The Figure 16
@@ -6,16 +6,14 @@ reproduction reports per-query *service* time, which in this simulated
 cluster is the measured wall time of the executor plus the virtual
 network latency the transport charges per RPC wave (the same accounting
 the YCSB closed-loop model consumes).  This bench runs the Figure 16
-ordered-scan shape over a 3-partition covered index in three
-configurations:
+ordered-scan shape over a 3-partition covered index in two
+configurations of the one streaming pipeline:
 
-* ``row, serial``     -- seed-style pipeline: one generator hop per row,
-  one ``gsi_scan`` RPC per partition, back to back.
-* ``batch, serial``   -- batch-vectorized operators (BATCH_SIZE rows per
-  hop), still serial per-partition scans.
-* ``batch + parallel`` -- batch operators over the scatter-gather scan:
-  one concurrent ``gsi_scan_page`` wave across all partitions, k-way
-  merged, LIMIT short-circuited at the merge frontier.
+* ``serial``   -- one ``gsi_scan`` RPC per partition, back to back, each
+  partial materialized in full before the merge.
+* ``parallel`` -- scatter-gather: one concurrent ``gsi_scan_page`` wave
+  across all partitions, k-way merged, LIMIT short-circuited at the
+  merge frontier.
 
 Self-timed (no pytest-benchmark fixture) so CI can run it as a smoke
 test with ``REPRO_ABLATION_ITERS=1``; the 2x acceptance assertion only
@@ -32,7 +30,6 @@ from conftest import print_series
 
 from repro import Cluster
 from repro.gsi import manager as gsi_manager
-from repro.n1ql import batch
 
 ITERS = int(os.environ.get("REPRO_ABLATION_ITERS", "200"))
 #: Below this, percentiles are noise; run the modes but skip the gate.
@@ -49,11 +46,7 @@ LIMIT = 20
 SCAN_QUERY = ("SELECT age, name FROM `b` WHERE b.age >= 0 "
               f"ORDER BY b.age LIMIT {LIMIT}")
 
-MODES = [
-    ("row, serial", dict(batch_enabled=False, parallel=False)),
-    ("batch, serial", dict(batch_enabled=True, parallel=False)),
-    ("batch + parallel", dict(batch_enabled=True, parallel=True)),
-]
+MODES = [("serial", False), ("parallel", True)]
 
 
 @pytest.fixture(scope="module")
@@ -82,13 +75,11 @@ def _percentile(samples: list, q: float) -> float:
     return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
 
 
-def _timed_samples(cluster, iters: int, *, batch_enabled: bool,
-                   parallel: bool) -> list:
+def _timed_samples(cluster, iters: int, parallel: bool) -> list:
     """Per-query service time: executor wall time + virtual network
     latency charged for the query's RPC waves."""
     network = cluster.network
-    previous = (batch.BATCH_ENABLED, gsi_manager.PARALLEL_SCAN_ENABLED)
-    batch.BATCH_ENABLED = batch_enabled
+    previous = gsi_manager.PARALLEL_SCAN_ENABLED
     gsi_manager.PARALLEL_SCAN_ENABLED = parallel
     try:
         rows = cluster.query(SCAN_QUERY).rows  # warm-up; primes plan cache
@@ -103,22 +94,22 @@ def _timed_samples(cluster, iters: int, *, batch_enabled: bool,
             samples.append(wall + (network.latency_charged - charged))
         return samples
     finally:
-        batch.BATCH_ENABLED, gsi_manager.PARALLEL_SCAN_ENABLED = previous
+        gsi_manager.PARALLEL_SCAN_ENABLED = previous
 
 
-def test_batch_pipeline_ablation(cluster):
+def test_query_pipeline_ablation(cluster):
     results = {}
-    for label, flags in MODES:
-        samples = _timed_samples(cluster, ITERS, **flags)
+    for label, parallel in MODES:
+        samples = _timed_samples(cluster, ITERS, parallel)
         results[label] = {
             "p50_us": _percentile(samples, 0.50) * 1e6,
             "p95_us": _percentile(samples, 0.95) * 1e6,
             "mean_us": sum(samples) / len(samples) * 1e6,
         }
 
-    baseline = results["row, serial"]["p50_us"]
+    baseline = results["serial"]["p50_us"]
     print_series(
-        "Ablation: batch pipeline + parallel scatter-gather "
+        "Ablation: parallel scatter-gather "
         f"(Figure 16 ordered scan, LIMIT {LIMIT}, {ITERS} iters)",
         ("mode", "p50 service", "p95 service", "speedup"),
         [(label,
@@ -142,19 +133,18 @@ def test_batch_pipeline_ablation(cluster):
         handle.write("\n")
 
     if ITERS >= MIN_ITERS_FOR_ASSERT:
-        # Acceptance gate: batch + parallel scatter-gather at least
-        # halves per-query service time vs the row/serial baseline.
-        speedup = baseline / results["batch + parallel"]["p50_us"]
+        # Acceptance gate: parallel scatter-gather at least halves
+        # per-query service time vs the serial fan-out.
+        speedup = baseline / results["parallel"]["p50_us"]
         assert speedup >= 2.0, (
-            f"batch+parallel only {speedup:.2f}x faster than row baseline"
+            f"parallel only {speedup:.2f}x faster than serial baseline"
         )
 
 
 def test_limit_drain_is_bounded(cluster):
     """LIMIT-k short circuit: each partition serves at most one page
     beyond the k rows the merge frontier consumed."""
-    previous = (batch.BATCH_ENABLED, gsi_manager.PARALLEL_SCAN_ENABLED)
-    batch.BATCH_ENABLED = True
+    previous = gsi_manager.PARALLEL_SCAN_ENABLED
     gsi_manager.PARALLEL_SCAN_ENABLED = True
     try:
         nodes = list(cluster.manager.nodes.values())
@@ -167,4 +157,4 @@ def test_limit_drain_is_bounded(cluster):
                        - before[node.name])
             assert drained <= LIMIT + gsi_manager.SCAN_PAGE_SIZE
     finally:
-        batch.BATCH_ENABLED, gsi_manager.PARALLEL_SCAN_ENABLED = previous
+        gsi_manager.PARALLEL_SCAN_ENABLED = previous

@@ -45,8 +45,8 @@ from .storage import HIGH_BOUND, composite_compare
 if TYPE_CHECKING:
     from ..server import Cluster
 
-#: Rows per ``gsi_scan_page`` pull.  Matches the query pipeline's batch
-#: size, so a LIMIT-k query drains at most k + one page per partition.
+#: Rows per ``gsi_scan_page`` pull; a LIMIT-k query drains at most
+#: k + one page per partition.
 SCAN_PAGE_SIZE = 64
 
 #: Ablation flag: False reverts to the serial fan-out that materializes

@@ -393,17 +393,14 @@ FETCH_BATCH = 64
 
 
 class FetchState:
-    """Whole-operator fetch state, shared by the row and batch fetch
-    executors.
+    """Whole-operator fetch state of one :func:`run_fetch` execution.
 
     Fetched documents are cached for the life of the operator, so a key
     appearing again -- in the same chunk or a later one -- reuses the
     first fetch's snapshot instead of re-fetching (a re-fetch could
     observe a concurrent mutation, making two rows for the same key
     disagree mid-query), and every occurrence after the first gets a
-    fresh copy so duplicate rows never share mutable state.  The old
-    per-chunk bookkeeping applied copy-on-duplicate only within one
-    chunk; a duplicate landing in a later chunk was re-fetched."""
+    fresh copy so duplicate rows never share mutable state."""
 
     __slots__ = ("op", "ctx", "docs", "bound")
 
@@ -682,14 +679,20 @@ def run_order(op: OrderOp, ctx: ExecutionContext, rows: Rows) -> Rows:
     yield from materialized
 
 
+def _clause_count(op, ctx: ExecutionContext, clause: str) -> int:
+    """Evaluate a LIMIT/OFFSET count.  JSON booleans are not numbers,
+    although Python's ``bool`` is an ``int``."""
+    count = _compiled(op, "_compiled_count", op.count, ctx)(Env(),
+                                                            ctx.evaluator)
+    if isinstance(count, bool) or not isinstance(count, (int, float)):
+        raise N1qlRuntimeError(f"{clause} requires a number")
+    return int(count)
+
+
 @hot_path
 @cost("O(n)")
 def run_offset(op: OffsetOp, ctx: ExecutionContext, rows: Rows) -> Rows:
-    count = _compiled(op, "_compiled_count", op.count, ctx)(Env(),
-                                                            ctx.evaluator)
-    if not isinstance(count, (int, float)):
-        raise N1qlRuntimeError("OFFSET requires a number")
-    skip = int(count)
+    skip = _clause_count(op, ctx, "OFFSET")
     for index, env in enumerate(rows):
         if index >= skip:
             yield env
@@ -698,11 +701,7 @@ def run_offset(op: OffsetOp, ctx: ExecutionContext, rows: Rows) -> Rows:
 @hot_path
 @cost("O(n)")
 def run_limit(op: LimitOp, ctx: ExecutionContext, rows: Rows) -> Rows:
-    count = _compiled(op, "_compiled_count", op.count, ctx)(Env(),
-                                                            ctx.evaluator)
-    if not isinstance(count, (int, float)):
-        raise N1qlRuntimeError("LIMIT requires a number")
-    remaining = int(count)
+    remaining = _clause_count(op, ctx, "LIMIT")
     if remaining <= 0:
         return
     for env in rows:

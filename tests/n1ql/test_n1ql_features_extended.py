@@ -5,7 +5,7 @@ positional parameters, RETURNING shapes, and planner details."""
 import pytest
 
 from repro import Cluster
-from repro.common.errors import N1qlSemanticError
+from repro.common.errors import N1qlRuntimeError, N1qlSemanticError
 
 
 @pytest.fixture(scope="class")
@@ -196,3 +196,19 @@ class TestErrorCases:
     def test_meta_of_unknown_alias(self, cluster):
         with pytest.raises(N1qlSemanticError):
             cluster.query("SELECT meta(zz).id FROM store s LIMIT 1", **RP)
+
+    @pytest.mark.parametrize("clause, params, message", [
+        ("LIMIT true", None, "LIMIT requires a number"),
+        ("OFFSET true", None, "OFFSET requires a number"),
+        ("LIMIT $1", [True], "LIMIT requires a number"),
+        ("OFFSET $1", [False], "OFFSET requires a number"),
+    ])
+    def test_boolean_limit_offset_rejected(self, cluster, clause, params,
+                                           message):
+        """JSON booleans are not numbers, although Python's bool is an
+        int: LIMIT true must not return one row, OFFSET true must not
+        skip one."""
+        text = ('SELECT s.price FROM store s '
+                'USE KEYS ["item::000", "item::001", "item::002"] ' + clause)
+        with pytest.raises(N1qlRuntimeError, match=message):
+            cluster.query(text, params=params, **RP)
