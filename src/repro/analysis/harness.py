@@ -1,27 +1,19 @@
-"""Exit codes, suppressions, discovery and profiles for analysis CLIs.
+"""Exit codes, findings, suppressions, discovery and profiles.
 
-Everything here used to live in :mod:`repro.lint.engine` and was grown
-in place by repro-sanitize and repro-flow; it is tool-agnostic, so it
-moved here.  The lint engine re-exports the old names for callers that
-still import them from there.
-
-The second half of this module is the shared CLI scaffold: check
-selection (:func:`select_checks`), the suppression + relaxed-profile
-filter (:func:`keep_finding`), and finding rendering
-(:func:`print_finding`).  repro-flow, repro-hotpath and repro-bounds
-each used to carry a private copy of these; any finding-shaped record
-(``check``/``path``/``line``/``col``/``message`` plus ``format()``)
-works with them.
+Everything here is tool-agnostic: the static analyzers (lint, flow,
+hotpath, bounds, proto) report :class:`Finding` records through the one
+driver in :mod:`repro.analysis.driver`, and repro-sanitize shares the
+exit contract.  The driver owns check selection and rendering and
+applies the suppression + relaxed-profile filter (:func:`keep_finding`);
+the tools keep only their rules.
 """
 
 from __future__ import annotations
 
 import re
-import sys
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
-
-from .output import github_annotation
 
 #: The shared CLI exit contract: CI gates on these next to ruff.
 EXIT_CLEAN = 0
@@ -29,6 +21,38 @@ EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 
 PROFILES = ("strict", "relaxed")
+
+#: Checks the relaxed profile (examples/, benchmarks/, fixture trees run
+#: without ``--profile strict``) does not enforce, keyed by check name:
+#: harness code legitimately measures wall-clock time and keeps
+#: module-level result tables (lint); demo scripts drive the cluster
+#: without a raises contract (flow), mark a hot root without a ``@cost``
+#: bound (hotpath), memo into a dict without an eviction policy (bounds)
+#: and flip state without wiring metrics (proto).
+RELAXED_EXEMPT = frozenset({
+    "no-wall-clock",
+    "declared-shared-state",
+    "exception-escape",
+    "cost-undeclared",
+    "cache-without-eviction",
+    "silent-transition",
+})
+
+
+@dataclass(frozen=True)
+class Finding:
+    """One finding of any analyzer: where, which check, what to do."""
+
+    check: str
+    path: str
+    line: int
+    col: int
+    message: str
+
+    def format(self) -> str:
+        return f"{self.path}:{self.line}:{self.col}: {self.check}: " \
+               f"{self.message}"
+
 
 #: Compiled suppression patterns, one per tool tag (``repro-lint``,
 #: ``repro-flow``, ...).  Same-line ``disable=`` covers that line;
@@ -83,15 +107,27 @@ def module_name_for(path: Path) -> str:
     return name
 
 
+class UsageError(ValueError):
+    """A bad command line (unknown or empty check selection, a missing
+    path, no Python files): exit 2."""
+
+
 def discover(paths: Iterable[str | Path]) -> list[Path]:
-    """Expand files/directories into a sorted list of ``.py`` files."""
+    """Expand files/directories into a sorted list of ``.py`` files.
+    A path that does not exist, or a path set with no Python file in
+    it, is a usage error rather than a vacuously clean tree."""
+    paths = [Path(raw) for raw in paths]
     files: set[Path] = set()
-    for raw in paths:
-        path = Path(raw)
+    for path in paths:
+        if not path.exists():
+            raise UsageError(f"no such file or directory: {path}")
         if path.is_dir():
             files.update(path.rglob("*.py"))
         elif path.suffix == ".py":
             files.add(path)
+    if not files:
+        raise UsageError(
+            f"no Python files under {', '.join(map(str, paths))}")
     return sorted(files)
 
 
@@ -107,75 +143,12 @@ def profile_for(path: Path, requested: str = "auto") -> str:
     return "relaxed"
 
 
-class UsageError(ValueError):
-    """A bad command line (unknown check, empty path set): exit 2."""
-
-
-def select_checks(arg: str | None, known: Iterable[str],
-                  label: str = "check") -> tuple[str, ...]:
-    """Parse a ``--check NAME[,NAME...]`` argument against the tool's
-    check vocabulary; ``None`` selects everything."""
-    known = tuple(known)
-    if arg is None:
-        return known
-    names = tuple(name.strip() for name in arg.split(",") if name.strip())
-    unknown = [name for name in names if name not in known]
-    if unknown:
-        raise UsageError(
-            f"unknown {label} {', '.join(unknown)} "
-            f"(choose from {', '.join(known)})"
-        )
-    return names
-
-
-def discover_program(paths: Iterable[str | Path],
-                     tool: str) -> list[Path] | None:
-    """Discover the files a whole-program CLI run covers; prints the
-    usage error and returns None when nothing matches."""
-    files = discover(paths)
-    if not files:
-        print(f"{tool}: no Python files under {list(paths)}",
-              file=sys.stderr)
-        return None
-    return files
-
-
-def report_parse_errors(parse_errors, tool: str) -> None:
-    """Print a project's ``(path, line, message)`` parse failures the
-    way every whole-program CLI does before exiting 2."""
-    for path, line, message in parse_errors:
-        print(f"{tool}: {path}:{line}: {message}", file=sys.stderr)
-
-
-def keep_finding(finding, suppressions_by_path: dict[str, dict],
-                 requested: str,
-                 relaxed_exempt: frozenset[str] = frozenset()) -> bool:
-    """The shared finding filter: per-line suppressions first, then the
-    tool's relaxed-profile exemptions for files resolving to relaxed."""
-    if suppressed(finding.check, finding.line,
-                  suppressions_by_path.get(finding.path, {})):
+def keep_finding(finding: Finding, suppressions: dict[int, set[str]],
+                 requested: str) -> bool:
+    """The shared finding filter: the file's per-line suppressions for
+    the reporting tool first, then the relaxed-profile exemptions for
+    files resolving to relaxed."""
+    if suppressed(finding.check, finding.line, suppressions):
         return False
-    if relaxed_exempt and finding.check in relaxed_exempt \
-            and profile_for(Path(finding.path), requested) == "relaxed":
-        return False
-    return True
-
-
-def suppressions_by_path(modules, tool: str) -> dict[str, dict]:
-    """Per-path suppression tables for one tool tag over an iterable of
-    module records carrying ``path`` and ``source_lines``."""
-    return {
-        module.path: parse_suppressions(module.source_lines, tool)
-        for module in modules
-    }
-
-
-def print_finding(finding, tool: str, output_format: str) -> None:
-    """Render one finding in the CLI's selected format."""
-    if output_format == "github":
-        print(github_annotation(
-            finding.message, title=f"{tool}: {finding.check}",
-            path=finding.path, line=finding.line, col=finding.col,
-        ))
-    else:
-        print(finding.format())
+    return not (finding.check in RELAXED_EXEMPT
+                and profile_for(Path(finding.path), requested) == "relaxed")

@@ -18,16 +18,14 @@ pumps, timers, RPC handlers, and ``@hot_path`` roots:
 * ``leak-on-error`` -- acquired slots/permits not released in a
   ``finally``.
 
-Run as ``python -m repro.bounds [paths...]``.
+Run as ``python -m repro.analysis --check bounds [paths...]``.
 """
 
 from .analyze import ALL_CHECKS, BoundsResult, analyze
-from .findings import BoundsFinding
 from .scope import derive_bounds_scope
 
 __all__ = [
     "ALL_CHECKS",
-    "BoundsFinding",
     "BoundsResult",
     "analyze",
     "derive_bounds_scope",

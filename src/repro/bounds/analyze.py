@@ -4,16 +4,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..flow.callgraph import CallGraph, build_callgraph
+from ..analysis import Finding
+from ..flow.callgraph import CallGraph
 from ..flow.hotset import HotSet
 from ..flow.project import Project
 from .charges import check_charges
 from .containers import Inventory
-from .findings import BoundsFinding
 from .rules import check_buffers, scan_function
 from .scope import derive_bounds_scope
 
-#: Every check the CLI can select -- one name per rule family.
+#: Every check the analyzer driver can select -- one name per rule family.
 ALL_CHECKS = (
     "unbounded-buffer",
     "cache-without-eviction",
@@ -25,16 +25,14 @@ ALL_CHECKS = (
 
 @dataclass
 class BoundsResult:
-    findings: list[BoundsFinding] = field(default_factory=list)
+    findings: list[Finding] = field(default_factory=list)
     scope: HotSet = field(default_factory=HotSet)
     inventory: Inventory | None = None
 
 
-def analyze(project: Project, graph: CallGraph | None = None,
+def analyze(project: Project, graph: CallGraph,
             selected: frozenset[str] | None = None) -> BoundsResult:
     """Run the resource-bounds analysis over one project index."""
-    if graph is None:
-        graph = build_callgraph(project)
     chosen = frozenset(ALL_CHECKS) if selected is None else selected
     scope = derive_bounds_scope(project, graph)
     inventory = Inventory(project)

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import ast
 
+from ..analysis import Finding
 from ..flow.callgraph import CallGraph
 from ..flow.project import ClassInfo, FuncInfo, Project
 from .containers import Inventory
-from .findings import BoundsFinding
 
 CHECK = "charge-balance"
 
@@ -92,8 +92,8 @@ class _RaiseIndex:
 
 
 def check_charges(project: Project, graph: CallGraph,
-                  inventory: Inventory) -> list[BoundsFinding]:
-    findings: list[BoundsFinding] = []
+                  inventory: Inventory) -> list[Finding]:
+    findings: list[Finding] = []
     raises = _RaiseIndex(project, graph)
     for cls_fqn in sorted(project.classes):
         klass = project.classes[cls_fqn]
@@ -129,7 +129,7 @@ def check_charges(project: Project, graph: CallGraph,
                 for site in info.drains:
                     if site.func != method.fqn or "neg" in available:
                         continue
-                    findings.append(BoundsFinding(
+                    findings.append(Finding(
                         check=CHECK, path=module.path, line=site.line,
                         col=site.col,
                         message=f"{name} removes from charged container "
@@ -140,7 +140,7 @@ def check_charges(project: Project, graph: CallGraph,
                 for site in info.growth + info.memo_sites:
                     if site.func != method.fqn or "pos" in available:
                         continue
-                    findings.append(BoundsFinding(
+                    findings.append(Finding(
                         check=CHECK, path=module.path, line=site.line,
                         col=site.col,
                         message=f"{name} inserts into charged container "
@@ -153,12 +153,12 @@ def check_charges(project: Project, graph: CallGraph,
 
 
 def _check_gap(method: FuncInfo, name: str, path: str,
-               raises: _RaiseIndex) -> list[BoundsFinding]:
+               raises: _RaiseIndex) -> list[Finding]:
     """No raise (own or called) between a discharge and its re-charge."""
     charges = sorted(_charge_calls(method),
                      key=lambda pair: (pair[0].lineno,
                                        pair[0].col_offset))
-    findings: list[BoundsFinding] = []
+    findings: list[Finding] = []
     charge_ids = {id(call) for call, _sign in charges}
     for (first, first_sign), (second, _s) in zip(charges, charges[1:]):
         if first_sign != "neg":
@@ -178,7 +178,7 @@ def _check_gap(method: FuncInfo, name: str, path: str,
                         risky = f"calls {target.name}(), which can raise"
                         break
             if risky is not None:
-                findings.append(BoundsFinding(
+                findings.append(Finding(
                     check=CHECK, path=path, line=line,
                     col=getattr(node, "col_offset", 0) + 1,
                     message=f"{name} {risky} between a negative charge() "

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import ast
 
+from ..analysis import Finding
 from ..flow.hotset import HotSet
 from ..flow.project import ClassInfo, FuncInfo, Project
 from .containers import Inventory
 from .declarations import declared_bound
-from .findings import BoundsFinding
 
 #: The retryable-failure class the backoff rule keys on, plus anything
 #: that resolves to a subclass of it.
@@ -48,8 +48,8 @@ def _last(node: ast.expr) -> str | None:
 
 
 def _finding(check: str, path: str, node: ast.AST, message: str,
-             func: FuncInfo) -> BoundsFinding:
-    return BoundsFinding(
+             func: FuncInfo) -> Finding:
+    return Finding(
         check=check, path=path,
         line=getattr(node, "lineno", func.line),
         col=getattr(node, "col_offset", 0) + 1,
@@ -61,12 +61,12 @@ def _finding(check: str, path: str, node: ast.AST, message: str,
 
 
 def check_buffers(project: Project, inventory: Inventory, scope: HotSet,
-                  selected: frozenset[str]) -> list[BoundsFinding]:
+                  selected: frozenset[str]) -> list[Finding]:
     """unbounded-buffer and cache-without-eviction over the inventory.
 
     One finding per container per check, anchored at its first in-scope
     growth site: the fix is to bound the *container*, not one call."""
-    findings: list[BoundsFinding] = []
+    findings: list[Finding] = []
     for key in sorted(inventory.containers):
         info = inventory.containers[key]
         if info.bounded:
@@ -189,14 +189,14 @@ def _loop_has_relief(loop: ast.AST) -> bool:
 
 
 def check_retry(func: FuncInfo, path: str,
-                project: Project) -> list[BoundsFinding]:
+                project: Project) -> list[Finding]:
     """Flag TMPFAIL retry loops with no relief on the retry path.
 
     Loops are visited outermost-first: a relief call anywhere in a loop
     covers everything nested inside it (a per-node fan-out loop inside a
     backed-off retry round is fine), and a loop already flagged is not
     re-flagged through its children."""
-    findings: list[BoundsFinding] = []
+    findings: list[Finding] = []
 
     def flag(loop: ast.AST) -> None:
         for node in ast.walk(loop):
@@ -263,8 +263,8 @@ def _in_finally(target: ast.AST, func_node: ast.AST) -> bool:
     return visit(func_node, False)
 
 
-def check_leaks(func: FuncInfo, path: str) -> list[BoundsFinding]:
-    findings: list[BoundsFinding] = []
+def check_leaks(func: FuncInfo, path: str) -> list[Finding]:
+    findings: list[Finding] = []
     node = func.node
     body = getattr(node, "body", None)
     if not isinstance(body, list):
@@ -317,9 +317,9 @@ def check_leaks(func: FuncInfo, path: str) -> list[BoundsFinding]:
 
 
 def scan_function(func: FuncInfo, path: str, project: Project,
-                  selected: frozenset[str]) -> list[BoundsFinding]:
+                  selected: frozenset[str]) -> list[Finding]:
     """The per-function lifecycle rules for one scope member."""
-    findings: list[BoundsFinding] = []
+    findings: list[Finding] = []
     if "retry-without-backoff" in selected:
         findings.extend(check_retry(func, path, project))
     if "leak-on-error" in selected:

@@ -27,7 +27,7 @@ def declared_raises(*exception_names: str):
         def get(self, bucket, key):
             ...
 
-    Run ``python -m repro.flow --suggest-raises`` to generate the
+    Run ``python -m repro.analysis --report raises`` to generate the
     declaration for a new entry point.
     """
 

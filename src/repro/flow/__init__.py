@@ -16,26 +16,28 @@ interprocedural analyses on top:
   with cycle detection over eager imports (:mod:`repro.flow.layers`).
 
 A reachability-based dead-code report rides along
-(:mod:`repro.flow.deadcode`).  The CLI shares repro-lint's exit-status
-contract, suppression syntax (``# repro-flow: disable=<check>``), and
-``--format github`` output via :mod:`repro.analysis`.
+(:mod:`repro.flow.deadcode`).  The project index and call graph built
+here are the one program every analyzer shares; run the analyses with
+``python -m repro.analysis --check flow`` and suppress a finding with
+``# repro-flow: disable=<check>``.
 """
 
+from .analyze import ALL_CHECKS, analyze
 from .callgraph import CallEdge, CallGraph, build_callgraph
 from .deadcode import analyze_dead_code
 from .excflow import analyze_exceptions
-from .findings import FlowFinding
 from .hotset import HotSet, declared_cost, derive_hot_set, is_hot_root
 from .layers import analyze_layers
 from .options import analyze_options
 from .project import Project
 
 __all__ = [
+    "ALL_CHECKS",
     "CallEdge",
     "CallGraph",
-    "FlowFinding",
     "HotSet",
     "Project",
+    "analyze",
     "analyze_dead_code",
     "analyze_exceptions",
     "analyze_layers",

@@ -30,8 +30,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
+from ..analysis import Finding
 from .callgraph import CallGraph, _last_component
-from .findings import FlowFinding
 from .project import ClassInfo, FuncInfo, Project
 
 #: Edge kinds along which exceptions propagate to the caller.
@@ -304,8 +304,11 @@ class ExcFlowResult:
     escapes: dict[str, frozenset[str]]
     #: (fqn, exc) -> ("raise", line) | ("via", callee_fqn, line)
     evidence: dict[tuple[str, str], tuple]
-    findings: list[FlowFinding]
+    findings: list[Finding]
     entry_points: dict[str, str]   #: fqn -> reason
+    #: entry point fqn -> escaping exceptions its contract omits (the
+    #: ``--report raises`` suggestions)
+    undeclared: dict[str, list[str]]
 
 
 def analyze_exceptions(graph: CallGraph) -> ExcFlowResult:
@@ -314,7 +317,7 @@ def analyze_exceptions(graph: CallGraph) -> ExcFlowResult:
     scanners: dict[str, _SiteScanner] = {}
     escapes: dict[str, set[str]] = {}
     evidence: dict[tuple[str, str], tuple] = {}
-    findings: list[FlowFinding] = []
+    findings: list[Finding] = []
 
     for fqn, func in project.functions.items():
         scanner = _SiteScanner(func, project, taxonomy)
@@ -329,7 +332,7 @@ def analyze_exceptions(graph: CallGraph) -> ExcFlowResult:
         module = project.modules.get(func.module)
         for caught, line, col in scanner.swallows:
             names = sorted(caught - {CATCH_ALL}) or ["Exception"]
-            finding = FlowFinding(
+            finding = Finding(
                 check="swallowed-exception",
                 path=str(module.path) if module else func.module,
                 line=line, col=col,
@@ -375,10 +378,12 @@ def analyze_exceptions(graph: CallGraph) -> ExcFlowResult:
 
     entry_points = _entry_points(graph)
     frozen = {fqn: frozenset(excs) for fqn, excs in escapes.items()}
+    undeclared = _undeclared(project, taxonomy, frozen, entry_points)
     findings.extend(
-        _escape_findings(graph, taxonomy, frozen, evidence, entry_points))
+        _escape_findings(project, undeclared, evidence, entry_points))
     return ExcFlowResult(escapes=frozen, evidence=evidence,
-                         findings=findings, entry_points=entry_points)
+                         findings=findings, entry_points=entry_points,
+                         undeclared=undeclared)
 
 
 def _edge_key(edge) -> tuple:
@@ -403,12 +408,11 @@ def _entry_points(graph: CallGraph) -> dict[str, str]:
     return entries
 
 
-def _escape_findings(graph: CallGraph, taxonomy: Taxonomy,
-                     escapes: dict[str, frozenset[str]],
-                     evidence: dict[tuple[str, str], tuple],
-                     entry_points: dict[str, str]) -> list[FlowFinding]:
-    project = graph.project
-    findings = []
+def _undeclared(project: Project, taxonomy: Taxonomy,
+                escapes: dict[str, frozenset[str]],
+                entry_points: dict[str, str]) -> dict[str, list[str]]:
+    """Entry point fqn -> the escaping exceptions its contract omits."""
+    undeclared: dict[str, list[str]] = {}
     for fqn in sorted(entry_points):
         func = project.functions.get(fqn)
         if func is None:
@@ -416,16 +420,23 @@ def _escape_findings(graph: CallGraph, taxonomy: Taxonomy,
         declared: set[str] = set()
         for name in func.raises_decl or ():
             declared |= taxonomy.subtree(name) if name in taxonomy else {name}
-        undeclared = sorted(
-            escapes.get(fqn, frozenset()) - declared - UNCHECKED
-        )
-        if not undeclared:
-            continue
+        missing = sorted(escapes.get(fqn, frozenset()) - declared - UNCHECKED)
+        if missing:
+            undeclared[fqn] = missing
+    return undeclared
+
+
+def _escape_findings(project: Project, undeclared: dict[str, list[str]],
+                     evidence: dict[tuple[str, str], tuple],
+                     entry_points: dict[str, str]) -> list[Finding]:
+    findings = []
+    for fqn, missing in undeclared.items():
+        func = project.functions[fqn]
         module = project.modules.get(func.module)
         path = str(module.path) if module else func.module
         reason = entry_points[fqn]
-        for exc in undeclared:
-            findings.append(FlowFinding(
+        for exc in missing:
+            findings.append(Finding(
                 check="exception-escape",
                 path=path, line=func.line, col=func.col,
                 message=(

@@ -45,7 +45,7 @@ Checks:
 
 from __future__ import annotations
 
-from .findings import FlowFinding
+from ..analysis import Finding
 from .project import DEFERRED, EAGER, ModuleInfo, Project
 
 RANKS = {
@@ -106,8 +106,8 @@ def _resolve_importee(project: Project, target: str,
     return None
 
 
-def analyze_layers(project: Project) -> list[FlowFinding]:
-    findings: list[FlowFinding] = []
+def analyze_layers(project: Project) -> list[Finding]:
+    findings: list[Finding] = []
     eager_graph: dict[str, set[str]] = {}
     for module in project.modules.values():
         package = package_of(module.name)
@@ -126,7 +126,7 @@ def analyze_layers(project: Project) -> list[FlowFinding]:
 
 
 def _check_record(module: ModuleInfo, record, importee: str,
-                  package: str, rank: int | None) -> list[FlowFinding]:
+                  package: str, rank: int | None) -> list[Finding]:
     findings = []
     importee_package = package_of(importee)
     importee_rank = RANKS.get(importee_package)
@@ -135,7 +135,7 @@ def _check_record(module: ModuleInfo, record, importee: str,
     if importee in RESTRICTED_MODULES \
             and package not in RESTRICTED_IMPORTERS \
             and package != importee_package:
-        findings.append(FlowFinding(
+        findings.append(Finding(
             check="layer-restricted", path=str(module.path),
             line=record.line, col=record.col,
             message=(
@@ -155,7 +155,7 @@ def _check_record(module: ModuleInfo, record, importee: str,
     if rank == importee_rank and importee in INTERFACE_MODULES:
         return findings
     direction = ("sideways" if rank == importee_rank else "upward")
-    findings.append(FlowFinding(
+    findings.append(Finding(
         check="layer-violation", path=str(module.path),
         line=record.line, col=record.col,
         message=(
@@ -170,7 +170,7 @@ def _check_record(module: ModuleInfo, record, importee: str,
 
 
 def _find_cycles(project: Project,
-                 graph: dict[str, set[str]]) -> list[FlowFinding]:
+                 graph: dict[str, set[str]]) -> list[Finding]:
     """Tarjan SCC over the eager import graph; every non-trivial SCC is
     one finding anchored at its first module."""
     index_counter = [0]
@@ -227,7 +227,7 @@ def _find_cycles(project: Project,
     findings = []
     for component in sccs:
         anchor = project.modules.get(component[0])
-        findings.append(FlowFinding(
+        findings.append(Finding(
             check="import-cycle",
             path=str(anchor.path) if anchor else component[0],
             line=1, col=1,

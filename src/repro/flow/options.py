@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import ast
 
+from ..analysis import Finding
 from .callgraph import CallGraph, has_star_kwargs, map_call_args
-from .findings import FlowFinding
 from .project import FuncInfo
 
 TRACKED = frozenset({
@@ -54,8 +54,8 @@ MUST_HANDLE = {
 }
 
 
-def analyze_options(graph: CallGraph) -> list[FlowFinding]:
-    findings: list[FlowFinding] = []
+def analyze_options(graph: CallGraph) -> list[Finding]:
+    findings: list[Finding] = []
     project = graph.project
     for func, call, callee, _kind in graph.call_sites:
         module = project.modules.get(func.module)
@@ -69,7 +69,7 @@ def analyze_options(graph: CallGraph) -> list[FlowFinding]:
 
 
 def _check_site(func: FuncInfo, call: ast.Call, callee: FuncInfo,
-                path: str) -> list[FlowFinding]:
+                path: str) -> list[Finding]:
     findings = []
     caller_tracked = [p for p in (*func.params, *func.kwonly) if p in TRACKED]
     bound = map_call_args(call, callee)
@@ -81,7 +81,7 @@ def _check_site(func: FuncInfo, call: ast.Call, callee: FuncInfo,
             continue
         if not callee.accepts(option):
             continue
-        findings.append(FlowFinding(
+        findings.append(Finding(
             check="option-dropped", path=path,
             line=call.lineno, col=call.col_offset + 1,
             message=(
@@ -98,7 +98,7 @@ def _check_site(func: FuncInfo, call: ast.Call, callee: FuncInfo,
             continue
         if callee.accepts(option):
             # The canonical name exists on the callee and was bypassed.
-            findings.append(FlowFinding(
+            findings.append(Finding(
                 check="option-renamed", path=path,
                 line=call.lineno, col=call.col_offset + 1,
                 message=(
@@ -108,7 +108,7 @@ def _check_site(func: FuncInfo, call: ast.Call, callee: FuncInfo,
                 ),
             ))
         elif param not in TRACKED:
-            findings.append(FlowFinding(
+            findings.append(Finding(
                 check="option-renamed", path=path,
                 line=call.lineno, col=call.col_offset + 1,
                 message=(
@@ -130,7 +130,7 @@ def _tracked_source(value: ast.expr, func: FuncInfo) -> str | None:
     return None
 
 
-def _check_domains(func: FuncInfo, path: str) -> list[FlowFinding]:
+def _check_domains(func: FuncInfo, path: str) -> list[Finding]:
     findings = []
     mentioned: dict[str, set[str]] = {}
     first_line: dict[str, int] = {}
@@ -157,7 +157,7 @@ def _check_domains(func: FuncInfo, path: str) -> list[FlowFinding]:
         unknown = sorted(literals - domain)
         line = first_line[option]
         if unknown:
-            findings.append(FlowFinding(
+            findings.append(Finding(
                 check="option-domain", path=path, line=line, col=1,
                 message=(
                     f"{_display(func.fqn)} compares {option!r} against "
@@ -170,7 +170,7 @@ def _check_domains(func: FuncInfo, path: str) -> list[FlowFinding]:
         if handled & must and not must <= handled \
                 and not (domain - must) <= handled:
             missing = sorted(must - handled)
-            findings.append(FlowFinding(
+            findings.append(Finding(
                 check="option-domain", path=path, line=line, col=1,
                 message=(
                     f"{_display(func.fqn)} distinguishes {option!r} values "

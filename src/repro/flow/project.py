@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from ..analysis.harness import module_name_for, parse_suppressions
+from ..analysis.harness import module_name_for
 
 #: Import classification: only eager imports can create runtime import
 #: cycles; TYPE_CHECKING imports are erased entirely and exempt from
@@ -102,7 +102,9 @@ class ModuleInfo:
     tree: ast.Module
     source_lines: list[str]
     is_package: bool
-    suppressions: dict[int, set[str]] = field(default_factory=dict)
+    #: (first, last) line ranges of ``if TYPE_CHECKING:`` bodies -- imports
+    #: inside are erased at runtime.
+    type_checking_ranges: list[tuple[int, int]]
     imports: list[ImportRecord] = field(default_factory=list)
     #: local name -> dotted target (module, or module-qualified symbol).
     bindings: dict[str, str] = field(default_factory=dict)
@@ -228,25 +230,33 @@ class Project:
         return project
 
     def _add_file(self, path: Path) -> None:
-        source = path.read_text(encoding="utf-8")
+        self.add_source(path.read_text(encoding="utf-8"), str(path),
+                        module_name_for(path))
+
+    def add_source(self, source: str, path: str, name: str) -> None:
+        """Parse and index one module; a syntax error or a second file
+        claiming an already-indexed module name is a parse error."""
         try:
-            tree = ast.parse(source, filename=str(path))
+            tree = ast.parse(source, filename=path)
         except SyntaxError as exc:
-            self.parse_errors.append((str(path), exc.lineno or 1,
+            self.parse_errors.append((path, exc.lineno or 1,
                                       exc.msg or "syntax error"))
             return
-        source_lines = source.splitlines()
-        name = module_name_for(path)
+        if name in self.modules:
+            self.parse_errors.append((path, 1, (
+                f"module {name} is already defined by "
+                f"{self.modules[name].path}")))
+            return
         info = ModuleInfo(
             name=name,
-            path=str(path),
+            path=path,
             tree=tree,
-            source_lines=source_lines,
-            is_package=path.stem == "__init__",
-            suppressions=parse_suppressions(source_lines, "repro-flow"),
+            source_lines=source.splitlines(),
+            is_package=Path(path).stem == "__init__",
+            type_checking_ranges=_type_checking_ranges(tree),
         )
         self.modules[name] = info
-        self._index_imports(info, _type_checking_ranges(tree))
+        self._index_imports(info)
         self._index_definitions(info)
         self._index_lazy_exports(info)
 
@@ -266,13 +276,13 @@ class Project:
             anchor = anchor + target.split(".")
         return ".".join(anchor) if anchor else None
 
-    def _index_imports(self, info: ModuleInfo,
-                       tc_ranges: list[tuple[int, int]]) -> None:
+    def _index_imports(self, info: ModuleInfo) -> None:
         top_level = set(info.tree.body)
         for node in ast.walk(info.tree):
             if not isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
-            if any(first <= node.lineno <= last for first, last in tc_ranges):
+            if any(first <= node.lineno <= last
+                   for first, last in info.type_checking_ranges):
                 kind = TYPE_CHECKING_ONLY
             elif node in top_level:
                 kind = EAGER

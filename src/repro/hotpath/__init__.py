@@ -13,19 +13,17 @@ set to a higher standard than the rest of the tree:
   the call graph -- an ``O(1)`` op cannot lean on an ``O(n)`` callee,
   and a loop multiplies whatever it calls.
 
-Run it with ``python -m repro.hotpath`` (exit 0 clean / 1 findings /
-2 usage, same contract as repro-lint, repro-sanitize and repro-flow).
+Run it with ``python -m repro.analysis --check hotpath`` (exit 0 clean /
+1 findings / 2 usage, the contract every analyzer shares).
 """
 
 from .analyze import ALL_CHECKS, HotpathResult, analyze
 from .costs import COST_CHECKS, check_costs
-from .findings import HotFinding
 from .rules import RULES, scan_function
 
 __all__ = [
     "ALL_CHECKS",
     "COST_CHECKS",
-    "HotFinding",
     "HotpathResult",
     "RULES",
     "analyze",

@@ -4,28 +4,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..flow.callgraph import CallGraph, build_callgraph
+from ..analysis import Finding
+from ..flow.callgraph import CallGraph
 from ..flow.hotset import HotSet, derive_hot_set
 from ..flow.project import Project
 from .costs import COST_CHECKS, check_costs
-from .findings import HotFinding
 from .rules import RULES, scan_function
 
-#: Every check the CLI can select.
+#: Every check the analyzer driver can select.
 ALL_CHECKS = RULES + COST_CHECKS
 
 
 @dataclass
 class HotpathResult:
-    findings: list[HotFinding] = field(default_factory=list)
+    findings: list[Finding] = field(default_factory=list)
     hotset: HotSet = field(default_factory=HotSet)
 
 
-def analyze(project: Project, graph: CallGraph | None = None,
+def analyze(project: Project, graph: CallGraph,
             selected: frozenset[str] | None = None) -> HotpathResult:
     """Run the hot-path cost analysis over one project index."""
-    if graph is None:
-        graph = build_callgraph(project)
     chosen = frozenset(ALL_CHECKS) if selected is None else selected
     hotset = derive_hot_set(project, graph)
     result = HotpathResult(hotset=hotset)

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import ast
 
+from ..analysis import Finding
 from ..common.costmodel import COST_RANK, COSTS
 from ..flow.callgraph import CallGraph
 from ..flow.hotset import HotSet, declared_cost, is_hot_root
 from ..flow.project import FuncInfo, Project
-from .findings import HotFinding
 
 COST_CHECKS = ("cost-undeclared", "cost-exceeds-caller",
                "cost-loop-amplified")
@@ -93,9 +93,9 @@ def _loop_nodes(func: FuncInfo) -> set[int]:
 
 
 def check_costs(project: Project, graph: CallGraph, hotset: HotSet,
-                selected: frozenset[str] | None = None) -> list[HotFinding]:
+                selected: frozenset[str] | None = None) -> list[Finding]:
     chosen = frozenset(COST_CHECKS) if selected is None else selected
-    findings: list[HotFinding] = []
+    findings: list[Finding] = []
 
     declared: dict[str, str] = {}
     for fqn in hotset.members:
@@ -109,7 +109,7 @@ def check_costs(project: Project, graph: CallGraph, hotset: HotSet,
             declared[fqn] = bound
         elif is_hot_root(func) and "cost-undeclared" in chosen:
             module = project.modules.get(func.module)
-            findings.append(HotFinding(
+            findings.append(Finding(
                 check="cost-undeclared",
                 path=module.path if module else func.module,
                 line=func.line, col=func.col,
@@ -136,7 +136,7 @@ def check_costs(project: Project, graph: CallGraph, hotset: HotSet,
         path = module.path if module else caller_info.module
         if in_loop and callee_rank >= max(caller_rank, 1) and \
                 "cost-loop-amplified" in chosen:
-            findings.append(HotFinding(
+            findings.append(Finding(
                 check="cost-loop-amplified",
                 path=path, line=call.lineno, col=call.col_offset,
                 message=f"{callee_info.name!r} is declared "
@@ -146,7 +146,7 @@ def check_costs(project: Project, graph: CallGraph, hotset: HotSet,
             ))
         elif not in_loop and callee_rank > caller_rank and \
                 "cost-exceeds-caller" in chosen:
-            findings.append(HotFinding(
+            findings.append(Finding(
                 check="cost-exceeds-caller",
                 path=path, line=call.lineno, col=call.col_offset,
                 message=f"{caller_info.name!r} is declared {caller_bound} "

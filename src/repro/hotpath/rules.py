@@ -43,8 +43,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
+from ..analysis import Finding
 from ..flow.project import FuncInfo, ModuleInfo
-from .findings import HotFinding
 
 #: Calls that are expensive enough that doing them per row with
 #: loop-invariant arguments is always a hoisting miss.
@@ -138,7 +138,7 @@ class _FunctionScan(ast.NodeVisitor):
         self.module = module
         self.why = why
         self.selected = selected
-        self.findings: list[HotFinding] = []
+        self.findings: list[Finding] = []
         self.loops: list[_Loop] = []
         #: names known to hold lists / strings in this function.
         self.list_names: set[str] = set()
@@ -149,7 +149,7 @@ class _FunctionScan(ast.NodeVisitor):
     def _flag(self, check: str, node: ast.AST, message: str) -> None:
         if check not in self.selected:
             return
-        self.findings.append(HotFinding(
+        self.findings.append(Finding(
             check=check,
             path=self.module.path,
             line=getattr(node, "lineno", self.func.line),
@@ -173,7 +173,7 @@ class _FunctionScan(ast.NodeVisitor):
             return base.id not in assigned
         return False
 
-    def scan(self) -> list[HotFinding]:
+    def scan(self) -> list[Finding]:
         node = self.func.node
         for arg in list(node.args.args) + list(node.args.kwonlyargs):
             if _annotation_is_list(arg.annotation):
@@ -422,7 +422,7 @@ class _FunctionScan(ast.NodeVisitor):
 
 
 def scan_function(func: FuncInfo, module: ModuleInfo, why: str,
-                  selected: frozenset[str] | None = None) -> list[HotFinding]:
+                  selected: frozenset[str] | None = None) -> list[Finding]:
     """Run every (selected) rule over one hot function."""
     chosen = frozenset(RULES) if selected is None else selected
     return _FunctionScan(func, module, why, chosen).scan()

@@ -9,20 +9,18 @@ static-analysis pass over the package's own AST that keeps those
 invariants from silently eroding -- one careless ``time.time()`` away
 from nondeterministic tests.
 
-Run it as ``python -m repro.lint [paths...]`` or through the tier-1
-pytest suite (``tests/lint``).  Violations can be suppressed per line
-with ``# repro-lint: disable=<rule>[,<rule>...]`` (or ``disable-next=``
-on the preceding line); every suppression should carry a justification
-comment.
+Run it as ``python -m repro.analysis --check lint [paths...]`` or
+through the tier-1 pytest suite (``tests/lint``).  Findings can be
+suppressed per line with ``# repro-lint: disable=<rule>[,<rule>...]``
+(or ``disable-next=`` on the preceding line); every suppression should
+carry a justification comment.
 """
 
 from .engine import (  # noqa: F401
     LintContext,
     Rule,
-    Violation,
     all_rules,
-    lint_file,
-    lint_paths,
+    analyze,
     lint_source,
     register_rule,
 )
@@ -30,10 +28,8 @@ from .engine import (  # noqa: F401
 __all__ = [
     "LintContext",
     "Rule",
-    "Violation",
     "all_rules",
-    "lint_file",
-    "lint_paths",
+    "analyze",
     "lint_source",
     "register_rule",
 ]

@@ -1,47 +1,29 @@
-"""The rule harness: contexts, registry, suppressions, file discovery.
+"""The rule harness: contexts, registry, and the per-module pass.
 
 Each rule lives in its own module under :mod:`repro.lint.rules` and
-subclasses :class:`Rule`; the harness parses each file once, hands every
-rule the same :class:`LintContext`, and filters out violations the
-source suppresses with ``# repro-lint: disable=<rule>`` comments.  The
-point of the shared context is that a future rule is ~one small file:
-subclass, ``@register_rule``, yield :class:`Violation` objects.
+subclasses :class:`Rule`; :func:`analyze` hands every rule one
+:class:`LintContext` per module of the already-parsed
+:class:`~repro.flow.project.Project`, so the analyzer driver parses each
+file once for all five tools.  The point of the shared context is that
+a future rule is ~one small file: subclass, ``@register_rule``, yield
+:class:`~repro.analysis.Finding` objects.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from ..analysis.harness import (  # noqa: F401  (re-exported for callers)
-    PROFILES,
-    discover,
+from ..analysis.harness import (
+    Finding,
+    UsageError,
+    keep_finding,
     module_name_for,
     parse_suppressions,
-    profile_for,
-    suppressed,
 )
-
-#: Rules that the relaxed profile (examples/, benchmarks/) turns off:
-#: harness code legitimately measures wall-clock time and accumulates
-#: module-level result tables across test functions.
-RELAXED_EXEMPT = frozenset({"no-wall-clock", "declared-shared-state"})
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One finding: where, which rule, and what to do about it."""
-
-    rule: str
-    path: str
-    line: int
-    col: int
-    message: str
-
-    def format(self) -> str:
-        return f"{self.path}:{self.line}:{self.col}: {self.rule}: {self.message}"
+from ..flow.project import ModuleInfo, Project
 
 
 @dataclass
@@ -51,13 +33,14 @@ class LintContext:
     path: str
     module: str
     tree: ast.Module
-    source_lines: list[str]
-    profile: str = "strict"
-    #: line -> set of rule names disabled on that line ("all" disables every rule).
-    suppressions: dict[int, set[str]] = field(default_factory=dict)
     #: (first, last) line ranges of ``if TYPE_CHECKING:`` bodies -- imports
     #: inside are erased at runtime, so reach-through rules ignore them.
-    type_checking_ranges: list[tuple[int, int]] = field(default_factory=list)
+    type_checking_ranges: list[tuple[int, int]]
+
+    @classmethod
+    def of(cls, info: ModuleInfo) -> "LintContext":
+        return cls(path=info.path, module=info.name, tree=info.tree,
+                   type_checking_ranges=info.type_checking_ranges)
 
     def in_type_checking_block(self, node: ast.AST) -> bool:
         line = getattr(node, "lineno", 0)
@@ -76,20 +59,20 @@ class Rule:
 
     Subclasses set :attr:`name` (the suppression/CLI identifier),
     :attr:`invariant` (the one-line statement of what the rule guards,
-    surfaced by ``--list-rules`` and DESIGN.md), and implement
+    surfaced by ``--report rules`` and DESIGN.md), and implement
     :meth:`check`.
     """
 
     name: str = ""
     invariant: str = ""
 
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
+    def check(self, ctx: LintContext) -> Iterator[Finding]:
         raise NotImplementedError
 
     def violation(self, ctx: LintContext, node: ast.AST,
-                  message: str) -> Violation:
-        return Violation(
-            rule=self.name,
+                  message: str) -> Finding:
+        return Finding(
+            check=self.name,
             path=ctx.path,
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0) + 1,
@@ -112,7 +95,7 @@ def register_rule(cls: type[Rule]) -> type[Rule]:
 
 
 class _ConfigError(Exception):
-    """Bad linter configuration (unknown rule name, duplicate rule)."""
+    """Bad linter configuration (a nameless or duplicate rule)."""
 
 
 def all_rules() -> list[Rule]:
@@ -121,88 +104,41 @@ def all_rules() -> list[Rule]:
     return [_REGISTRY[name] for name in sorted(_REGISTRY)]
 
 
-def _type_checking_ranges(tree: ast.Module) -> list[tuple[int, int]]:
-    ranges = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.If):
-            continue
-        test = node.test
-        is_tc = (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
-            isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
-        )
-        if is_tc and node.body:
-            last = max(
-                getattr(n, "end_lineno", None) or 0
-                for n in ast.walk(node)
-                if hasattr(n, "lineno")
-            )
-            ranges.append((node.lineno, max(last, node.lineno)))
-    return ranges
-
-
-def build_context(source: str, path: str, module: str,
-                  profile: str = "strict") -> LintContext:
-    tree = ast.parse(source, filename=path)
-    source_lines = source.splitlines()
-    return LintContext(
-        path=path,
-        module=module,
-        tree=tree,
-        source_lines=source_lines,
-        profile=profile,
-        suppressions=parse_suppressions(source_lines, "repro-lint"),
-        type_checking_ranges=_type_checking_ranges(tree),
-    )
-
-
-def _active_rules(profile: str, select: Iterable[str] | None) -> list[Rule]:
-    rules = all_rules()
-    if select is not None:
-        wanted = set(select)
-        unknown = wanted - {rule.name for rule in rules}
-        if unknown:
-            raise _ConfigError(f"unknown rule(s): {', '.join(sorted(unknown))}")
-        rules = [rule for rule in rules if rule.name in wanted]
-    if profile == "relaxed":
-        rules = [rule for rule in rules if rule.name not in RELAXED_EXEMPT]
-    return rules
+def analyze(project: Project, graph=None,
+            selected: frozenset[str] | None = None) -> list[Finding]:
+    """Run the selected rules (all by default) over every module of the
+    project.  Lint is per-file, so ``graph`` is accepted for the
+    driver's uniform signature and not used."""
+    rules = [rule for rule in all_rules()
+             if selected is None or rule.name in selected]
+    findings: list[Finding] = []
+    for info in project.modules.values():
+        ctx = LintContext.of(info)
+        for rule in rules:
+            findings.extend(rule.check(ctx))
+    findings.sort(key=lambda f: (f.path, f.line, f.col, f.check))
+    return findings
 
 
 def lint_source(source: str, path: str = "<string>",
                 module: str | None = None, profile: str = "strict",
-                select: Iterable[str] | None = None) -> list[Violation]:
-    """Lint one source string.  ``module`` defaults from ``path``; pass
-    it explicitly in fixture tests to exercise package-scoped rules."""
-    if module is None:
-        module = module_name_for(Path(path))
-    try:
-        ctx = build_context(source, path, module, profile)
-    except SyntaxError as exc:
-        return [Violation(rule="parse-error", path=path,
-                          line=exc.lineno or 1, col=(exc.offset or 0) + 1,
-                          message=f"file does not parse: {exc.msg}")]
-    findings: list[Violation] = []
-    for rule in _active_rules(profile, select):
-        findings.extend(rule.check(ctx))
-    findings = [v for v in findings
-                if not suppressed(v.rule, v.line, ctx.suppressions)]
-    findings.sort(key=lambda v: (v.line, v.col, v.rule))
-    return findings
-
-
-def lint_file(path: Path, profile: str = "strict",
-              select: Iterable[str] | None = None) -> list[Violation]:
-    source = path.read_text(encoding="utf-8")
-    return lint_source(source, path=str(path),
-                       module=module_name_for(path), profile=profile,
-                       select=select)
-
-
-def lint_paths(paths: Iterable[str | Path], profile: str = "auto",
-               select: Iterable[str] | None = None) -> list[Violation]:
-    findings: list[Violation] = []
-    for path in discover(paths):
-        findings.extend(
-            lint_file(path, profile=profile_for(path, profile), select=select)
-        )
-    return findings
+                select: Iterable[str] | None = None) -> list[Finding]:
+    """Lint one source string with its ``# repro-lint:`` suppressions
+    and the profile's exemptions applied.  ``module`` defaults from
+    ``path``; pass it explicitly in fixture tests to exercise
+    package-scoped rules."""
+    selected = None
+    if select is not None:
+        selected = frozenset(select)
+        unknown = selected - {rule.name for rule in all_rules()}
+        if unknown:
+            raise UsageError(f"unknown rule(s): {', '.join(sorted(unknown))}")
+    project = Project()
+    project.add_source(source, path, module or module_name_for(Path(path)))
+    if project.parse_errors:
+        _, line, message = project.parse_errors[0]
+        return [Finding(check="parse-error", path=path, line=line, col=1,
+                        message=f"file does not parse: {message}")]
+    suppressions = parse_suppressions(source.splitlines(), "repro-lint")
+    return [finding for finding in analyze(project, None, selected)
+            if keep_finding(finding, suppressions, profile)]

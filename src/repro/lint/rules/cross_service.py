@@ -13,7 +13,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..engine import LintContext, Rule, Violation, register_rule
+from ...analysis import Finding
+from ..engine import LintContext, Rule, register_rule
 
 #: Packages that run (or model code running) off the data node and must
 #: go through the transport/smart-client RPC layer.
@@ -37,7 +38,7 @@ class NoCrossServiceReachThrough(Rule):
         "through the transport/smart-client RPC layer"
     )
 
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
+    def check(self, ctx: LintContext) -> Iterator[Finding]:
         if not ctx.module_in(RESTRICTED_PACKAGES):
             return
         for node in ast.walk(ctx.tree):
@@ -53,7 +54,7 @@ class NoCrossServiceReachThrough(Rule):
                     yield self._flag(ctx, node, module)
 
     def _flag(self, ctx: LintContext, node: ast.AST,
-              module: str) -> Violation:
+              module: str) -> Finding:
         return self.violation(
             ctx, node,
             f"{ctx.module} is a non-data service and may not import "

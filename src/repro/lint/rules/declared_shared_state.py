@@ -32,7 +32,8 @@ import ast
 import re
 from typing import Iterator
 
-from ..engine import LintContext, Rule, Violation, register_rule
+from ...analysis import Finding
+from ..engine import LintContext, Rule, register_rule
 
 _DECLARATION = "__shared_state__"
 _STATEFUL_CONSTRUCTORS = frozenset({
@@ -51,7 +52,7 @@ class DeclaredSharedState(Rule):
         "(or suppressed) so shared-across-runs channels are explicit"
     )
 
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
+    def check(self, ctx: LintContext) -> Iterator[Finding]:
         declared = _declared_names(ctx.tree)
         for statement in ctx.tree.body:
             yield from self._check_binding(ctx, statement, declared)
@@ -67,7 +68,7 @@ class DeclaredSharedState(Rule):
                         )
 
     def _check_binding(self, ctx: LintContext, statement: ast.stmt,
-                       declared: set[str]) -> Iterator[Violation]:
+                       declared: set[str]) -> Iterator[Finding]:
         if isinstance(statement, ast.Assign):
             targets, value = statement.targets, statement.value
         elif isinstance(statement, ast.AnnAssign) and statement.value:

@@ -13,7 +13,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..engine import LintContext, Rule, Violation, register_rule
+from ...analysis import Finding
+from ..engine import LintContext, Rule, register_rule
 
 _BANNED = frozenset({"ValueError", "KeyError", "RuntimeError"})
 
@@ -31,11 +32,11 @@ class ErrorTaxonomy(Rule):
         "only in constructor argument validation"
     )
 
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
+    def check(self, ctx: LintContext) -> Iterator[Finding]:
         yield from self._walk(ctx, ctx.tree, enclosing=None)
 
     def _walk(self, ctx: LintContext, node: ast.AST,
-              enclosing: str | None) -> Iterator[Violation]:
+              enclosing: str | None) -> Iterator[Finding]:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from self._walk(ctx, child, enclosing=child.name)

@@ -13,7 +13,8 @@ import ast
 import re
 from typing import Iterator
 
-from ..engine import LintContext, Rule, Violation, register_rule
+from ...analysis import Finding
+from ..engine import LintContext, Rule, register_rule
 
 _METRIC_METHODS = frozenset({"inc", "observe", "timer"})
 
@@ -30,7 +31,7 @@ class MetricsNaming(Rule):
         "dynamic names"
     )
 
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
+    def check(self, ctx: LintContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if not (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)

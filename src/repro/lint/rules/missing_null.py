@@ -17,7 +17,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..engine import LintContext, Rule, Violation, register_rule
+from ...analysis import Finding
+from ..engine import LintContext, Rule, register_rule
 
 _EVAL_NAMES = frozenset({"evaluate", "eval_expr"})
 
@@ -31,7 +32,7 @@ class MissingNullDiscipline(Rule):
         "without checking the MISSING sentinel"
     )
 
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
+    def check(self, ctx: LintContext) -> Iterator[Finding]:
         if not ctx.module_in(("repro.n1ql",)):
             return
         for node in ast.walk(ctx.tree):

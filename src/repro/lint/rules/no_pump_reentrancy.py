@@ -15,7 +15,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..engine import LintContext, Rule, Violation, register_rule
+from ...analysis import Finding
+from ..engine import LintContext, Rule, register_rule
 
 _PUMP_NAMES = frozenset({"pump", "_pump"})
 _DRIVE_METHODS = frozenset({"run_until_idle", "step", "run_until", "advance"})
@@ -29,7 +30,7 @@ class NoPumpReentrancy(Rule):
         "step/run_until/advance); pumps return and get re-invoked"
     )
 
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
+    def check(self, ctx: LintContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and node.name in _PUMP_NAMES):

@@ -11,7 +11,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..engine import LintContext, Rule, Violation, register_rule
+from ...analysis import Finding
+from ..engine import LintContext, Rule, register_rule
 
 #: Constructors that are fine when explicitly seeded (Random) or
 #: intentionally nondeterministic by contract (SystemRandom is still
@@ -27,7 +28,7 @@ class NoUnseededRandom(Rule):
         "every RNG is constructed with an explicit seed"
     )
 
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
+    def check(self, ctx: LintContext) -> Iterator[Finding]:
         random_aliases: set[str] = set()
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Import):

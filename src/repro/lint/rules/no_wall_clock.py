@@ -12,7 +12,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..engine import LintContext, Rule, Violation, register_rule
+from ...analysis import Finding
+from ..engine import LintContext, Rule, register_rule
 
 #: ``time`` module functions that read or block on the wall clock.
 _TIME_FUNCTIONS = frozenset({
@@ -32,7 +33,7 @@ class NoWallClock(Rule):
         "time.time/monotonic/perf_counter/sleep or datetime.now/utcnow"
     )
 
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
+    def check(self, ctx: LintContext) -> Iterator[Finding]:
         time_aliases: set[str] = set()
         datetime_aliases: set[str] = set()      # the datetime *module*
         datetime_classes: set[str] = set()      # datetime/date classes

@@ -15,7 +15,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..engine import LintContext, Rule, Violation, register_rule
+from ...analysis import Finding
+from ..engine import LintContext, Rule, register_rule
 
 _PUMP_NAMES = frozenset({"pump", "_pump"})
 
@@ -28,7 +29,7 @@ class PumpContract(Rule):
         "a bounded batch per call; no unbounded `while True` drain loops"
     )
 
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
+    def check(self, ctx: LintContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and node.name in _PUMP_NAMES):

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..flow.callgraph import CallGraph, build_callgraph
+from ..analysis import Finding
+from ..flow.callgraph import CallGraph
 from ..flow.project import Project
 from .declarations import ProtocolSpec, collect_protocols
-from .findings import ProtoFinding
 from .inventory import ProtoInventory
 from .rules import (
     Analysis,
@@ -17,7 +17,7 @@ from .rules import (
     check_transitions,
 )
 
-#: Every check the CLI can select -- one name per rule family.
+#: Every check the analyzer driver can select -- one name per rule family.
 ALL_CHECKS = (
     "illegal-transition",
     "unguarded-transition",
@@ -29,16 +29,14 @@ ALL_CHECKS = (
 
 @dataclass
 class ProtoResult:
-    findings: list[ProtoFinding] = field(default_factory=list)
+    findings: list[Finding] = field(default_factory=list)
     protocols: dict[str, ProtocolSpec] = field(default_factory=dict)
     inventory: ProtoInventory | None = None
 
 
-def analyze(project: Project, graph: CallGraph | None = None,
+def analyze(project: Project, graph: CallGraph,
             selected: frozenset[str] | None = None) -> ProtoResult:
     """Run the protocol-conformance analysis over one project index."""
-    if graph is None:
-        graph = build_callgraph(project)
     chosen = frozenset(ALL_CHECKS) if selected is None else selected
     protocols = collect_protocols(project)
     inventory = ProtoInventory(project, protocols)
@@ -48,7 +46,7 @@ def analyze(project: Project, graph: CallGraph | None = None,
     analysis.run()
 
     if chosen & {"illegal-transition", "unguarded-transition"}:
-        staged: list[ProtoFinding] = []
+        staged: list[Finding] = []
         check_transitions(analysis, staged)
         result.findings.extend(f for f in staged if f.check in chosen)
     if "handoff-order" in chosen:

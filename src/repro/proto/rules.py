@@ -40,10 +40,10 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
+from ..analysis import Finding
 from ..flow.callgraph import CallGraph, map_call_args
 from ..flow.project import FuncInfo, Project
 from .declarations import ProtocolSpec
-from .findings import ProtoFinding
 from .inventory import ProtoInventory, TransitionSite, resolve_state
 
 Env = dict[str, frozenset]
@@ -415,14 +415,14 @@ def _strip(env: Env, written: set[str]) -> Env:
 
 
 def check_transitions(analysis: Analysis,
-                      findings: list[ProtoFinding]) -> None:
+                      findings: list[Finding]) -> None:
     seen: set[tuple] = set()
 
     def add(check: str, path: str, line: int, col: int, message: str) -> None:
         key = (check, path, line, col, message)
         if key not in seen:
             seen.add(key)
-            findings.append(ProtoFinding(check, path, line, col, message))
+            findings.append(Finding(check, path, line, col, message))
 
     for site, sources in analysis.site_env:
         spec = site.binding.spec
@@ -525,7 +525,7 @@ def _check_forward(analysis: Analysis, site: TransitionSite,
 
 
 def check_handoff(analysis: Analysis,
-                  findings: list[ProtoFinding]) -> None:
+                  findings: list[Finding]) -> None:
     for fqn in sorted(analysis.events):
         func = analysis.project.functions.get(fqn)
         if func is None:
@@ -536,7 +536,7 @@ def check_handoff(analysis: Analysis,
             index = spec.order.index(state)
             previous = last.get(spec.name)
             if previous is not None and index < previous and index != 0:
-                findings.append(ProtoFinding(
+                findings.append(Finding(
                     "handoff-order", path, line, col,
                     f"{spec.name}: {state} touched after "
                     f"{spec.order[previous]}; the declared handoff order "
@@ -545,13 +545,13 @@ def check_handoff(analysis: Analysis,
 
 
 def check_ownership(analysis: Analysis,
-                    findings: list[ProtoFinding]) -> None:
+                    findings: list[Finding]) -> None:
     for site, _sources in analysis.site_env:
         binding = site.binding
         if site.module == binding.owner_module:
             continue
         owner = binding.owner.rsplit(".", 1)[-1]
-        findings.append(ProtoFinding(
+        findings.append(Finding(
             "transition-outside-owner", site.path, site.line, site.col,
             f"{binding.spec.name}: {owner}.{binding.attr} written outside "
             f"its owner module {binding.owner_module}; route the "
@@ -559,7 +559,7 @@ def check_ownership(analysis: Analysis,
 
 
 def check_silent(analysis: Analysis,
-                 findings: list[ProtoFinding]) -> None:
+                 findings: list[Finding]) -> None:
     for site, _sources in analysis.site_env:
         if analysis.emits(site.func):
             continue
@@ -568,7 +568,7 @@ def check_silent(analysis: Analysis,
                            for caller, _call, _kind in callers):
             continue
         short = site.func.rsplit(".", 1)[-1]
-        findings.append(ProtoFinding(
+        findings.append(Finding(
             "silent-transition", site.path, site.line, site.col,
             f"{site.binding.spec.name}: transition in {short}() emits no "
             f"metrics/tracing/log signal, and neither do all of its "

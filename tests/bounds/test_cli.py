@@ -1,13 +1,20 @@
-"""The repro-bounds CLI contract: exit codes, check selection,
-profiles, suppressions (including cross-tool isolation), declaration
-forms, output formats, and the scope report -- one contract shared
-with repro-lint/sanitize/flow/hotpath."""
+"""Bounds through the analyzer driver (``python -m repro.analysis
+--check bounds``): exit codes, check selection, profiles, suppressions
+(including cross-tool isolation), declaration forms, output formats,
+and the scope report."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bounds.cli import main
+from repro.analysis import driver
+
+
+def main(argv):
+    """``python -m repro.analysis --check bounds ...``; a test's own
+    ``--check`` comes later on the command line and wins."""
+    return driver.main(["--check", "bounds", *argv])
+
 
 #: A hot, growing, undrained buffer: one unbounded-buffer finding.
 BAD_BUFFER = '''\

@@ -1,7 +1,7 @@
 """Every broken fixture must fail with exactly its intended check, and
 the tree itself must analyze clean -- the tier-1 gate that keeps the
 resource-bounds invariants true going forward, mirroring the CI
-``repro-bounds`` step (and the shape of ``tests/hotpath/test_fixtures.py``)."""
+analyzer step (and the shape of ``tests/hotpath/test_fixtures.py``)."""
 
 from __future__ import annotations
 
@@ -9,13 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import parse_suppressions, suppressed
+from repro.analysis.driver import kept_findings, main
 from repro.bounds import ALL_CHECKS, analyze
-from repro.bounds.cli import main
-from repro.flow.callgraph import build_callgraph
-from repro.flow.project import Project
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 #: fixture directory -> the single check its defect must trip.
@@ -40,7 +36,8 @@ def test_every_check_has_a_fixture():
 
 @pytest.mark.parametrize("fixture,check", sorted(EXPECTED.items()))
 def test_fixture_fails_with_its_intended_check(fixture, check, capsys):
-    code = main([str(FIXTURES / fixture), "--profile", "strict"])
+    code = main([str(FIXTURES / fixture), "--check", "bounds",
+                 "--profile", "strict"])
     out = capsys.readouterr().out
     assert code == 1, out
     finding_lines = [
@@ -51,19 +48,11 @@ def test_fixture_fails_with_its_intended_check(fixture, check, capsys):
     assert all(f" {check}: " in line for line in finding_lines), out
 
 
-def test_repro_package_is_strictly_clean():
-    files = sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
-    project = Project.build(files)
-    assert not project.parse_errors
-    result = analyze(project, build_callgraph(project))
-    suppressions = {
-        module.path: parse_suppressions(module.source_lines, "repro-bounds")
-        for module in project.modules.values()
-    }
-    remaining = [
-        f for f in result.findings
-        if not suppressed(f.check, f.line, suppressions.get(f.path, {}))
-    ]
+def test_repro_package_is_strictly_clean(repro_program):
+    project, graph = repro_program
+    result = analyze(project, graph)
+    remaining = kept_findings(result.findings, project, "repro-bounds",
+                              "strict")
     assert remaining == [], "\n".join(f.format() for f in remaining)
     # The derived scope must stay non-trivial: pumps, RPC handlers, and
     # @hot_path roots pull in the whole data path.
@@ -73,7 +62,7 @@ def test_repro_package_is_strictly_clean():
     assert len(result.inventory.containers) > 100
 
 
-def test_tree_clean_via_cli(capsys):
-    code = main([str(REPO_ROOT / "src" / "repro"), "--profile", "strict"])
-    out = capsys.readouterr().out
+def test_tree_clean_via_cli(tree_driver_run):
+    code, out = tree_driver_run
     assert code == 0, out
+    assert "\nrepro-bounds: 0 findings" in out, out

@@ -1,13 +1,20 @@
-"""The ``python -m repro.flow`` front end: the 0/1/2 exit contract
-shared with repro-lint and repro-sanitize, output formats, profiles,
-suppressions, and the two helper modes."""
+"""Flow through the analyzer driver (``python -m repro.analysis --check
+flow``): the 0/1/2 exit contract shared with repro-sanitize, output
+formats, profiles, suppressions, and the two flow reports."""
 
 from __future__ import annotations
 
 import textwrap
 from pathlib import Path
 
-from repro.flow.cli import main
+from repro.analysis import driver
+
+
+def main(argv):
+    """``python -m repro.analysis --check flow ...``; a test's own
+    ``--check`` comes later on the command line and wins."""
+    return driver.main(["--check", "flow", *argv])
+
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -40,10 +47,10 @@ class TestExitContract:
     def test_unknown_check_is_a_usage_error(self, capsys):
         code = main([str(FIXTURES / "exc_swallow"), "--check", "nonsense"])
         assert code == 2
-        assert "unknown analysis" in capsys.readouterr().err
+        assert "unknown check nonsense" in capsys.readouterr().err
 
     def test_no_files_is_a_usage_error(self, tmp_path, capsys):
-        code = main([str(tmp_path / "does-not-exist")])
+        code = main([str(tmp_path)])
         assert code == 2
         assert "no Python files" in capsys.readouterr().err
 
@@ -144,7 +151,7 @@ class TestHelperModes:
         assert "not a gate" in out
 
     def test_suggest_raises_prints_a_decorator(self, capsys):
-        code = main([str(FIXTURES / "exc_undeclared"), "--suggest-raises"])
+        code = main([str(FIXTURES / "exc_undeclared"), "--report", "raises"])
         out = capsys.readouterr().out
         assert code == 0
         assert "@declared_raises('KeyNotFoundError')" in out

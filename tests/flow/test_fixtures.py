@@ -1,7 +1,7 @@
 """Every broken fixture must fail with exactly its intended check, and
 the tree itself must analyze clean -- the tier-1 gate that keeps the
-flow invariants true going forward, mirroring the CI ``repro-flow``
-step (and the shape of ``tests/lint/test_tree_clean.py``)."""
+flow invariants true going forward, mirroring the CI analyzer step
+(and the shape of ``tests/lint/test_tree_clean.py``)."""
 
 from __future__ import annotations
 
@@ -9,14 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.flow.callgraph import build_callgraph
-from repro.flow.cli import main
-from repro.flow.excflow import analyze_exceptions
-from repro.flow.layers import analyze_layers
-from repro.flow.options import analyze_options
-from repro.flow.project import Project
+from repro import flow
+from repro.analysis.driver import kept_findings, main
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 #: fixture directory -> the single check its defect must trip.
@@ -41,7 +36,8 @@ def test_every_fixture_is_covered():
 
 @pytest.mark.parametrize("fixture,check", sorted(EXPECTED.items()))
 def test_fixture_fails_with_its_intended_check(fixture, check, capsys):
-    code = main([str(FIXTURES / fixture), "--profile", "strict"])
+    code = main([str(FIXTURES / fixture), "--check", "flow",
+                 "--profile", "strict"])
     out = capsys.readouterr().out
     assert code == 1, out
     finding_lines = [
@@ -52,35 +48,14 @@ def test_fixture_fails_with_its_intended_check(fixture, check, capsys):
     assert all(f" {check}: " in line for line in finding_lines), out
 
 
-def _tree_findings():
-    files = sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
-    project = Project.build(files)
-    assert not project.parse_errors
-    graph = build_callgraph(project)
-    return (list(analyze_exceptions(graph).findings)
-            + list(analyze_options(graph))
-            + list(analyze_layers(project)), project)
-
-
-def test_repro_package_is_strictly_clean():
-    findings, project = _tree_findings()
-    from repro.analysis import suppressed
-
-    def kept(finding):
-        module = next(
-            (m for m in project.modules.values() if m.path == finding.path),
-            None,
-        )
-        return module is None or not suppressed(
-            finding.check, finding.line, module.suppressions
-        )
-
-    remaining = [f for f in findings if kept(f)]
+def test_repro_package_is_strictly_clean(repro_program):
+    project, graph = repro_program
+    remaining = kept_findings(flow.analyze(project, graph), project,
+                              "repro-flow", "strict")
     assert remaining == [], "\n".join(f.format() for f in remaining)
 
 
-def test_tree_clean_through_the_cli(capsys):
-    code = main([str(REPO_ROOT / "src" / "repro"), "--profile", "strict"])
-    out = capsys.readouterr().out
+def test_tree_clean_through_the_cli(tree_driver_run):
+    code, out = tree_driver_run
     assert code == 0, out
-    assert out.startswith("repro-flow: 0 findings"), out
+    assert "\nrepro-flow: 0 findings" in out, out

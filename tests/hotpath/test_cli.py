@@ -1,5 +1,5 @@
-"""The ``python -m repro.hotpath`` front end: the 0/1/2 exit contract
-shared with repro-lint/flow/sanitize, output formats, profiles,
+"""Hotpath through the analyzer driver (``python -m repro.analysis
+--check hotpath``): the 0/1/2 exit contract, output formats, profiles,
 suppressions, and the hot-set provenance report."""
 
 from __future__ import annotations
@@ -7,7 +7,14 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
-from repro.hotpath.cli import main
+from repro.analysis import driver
+
+
+def main(argv):
+    """``python -m repro.analysis --check hotpath ...``; a test's own
+    ``--check`` comes later on the command line and wins."""
+    return driver.main(["--check", "hotpath", *argv])
+
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -63,7 +70,7 @@ class TestExitContract:
         assert "unknown check" in capsys.readouterr().err
 
     def test_no_files_is_a_usage_error(self, tmp_path, capsys):
-        code = main([str(tmp_path / "does-not-exist")])
+        code = main([str(tmp_path)])
         assert code == 2
         assert "no Python files" in capsys.readouterr().err
 

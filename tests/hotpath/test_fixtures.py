@@ -1,7 +1,7 @@
 """Every broken fixture must fail with exactly its intended check, and
 the tree itself must analyze clean -- the tier-1 gate that keeps the
 hot-path cost invariants true going forward, mirroring the CI
-``repro-hotpath`` step (and the shape of ``tests/flow/test_fixtures.py``)."""
+analyzer step (and the shape of ``tests/flow/test_fixtures.py``)."""
 
 from __future__ import annotations
 
@@ -9,13 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import parse_suppressions, suppressed
-from repro.flow.callgraph import build_callgraph
-from repro.flow.project import Project
+from repro.analysis.driver import kept_findings, main
 from repro.hotpath import analyze
-from repro.hotpath.cli import main
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 #: fixture directory -> the single check its defect must trip.
@@ -47,7 +43,8 @@ def test_every_check_has_a_fixture():
 
 @pytest.mark.parametrize("fixture,check", sorted(EXPECTED.items()))
 def test_fixture_fails_with_its_intended_check(fixture, check, capsys):
-    code = main([str(FIXTURES / fixture), "--profile", "strict"])
+    code = main([str(FIXTURES / fixture), "--check", "hotpath",
+                 "--profile", "strict"])
     out = capsys.readouterr().out
     assert code == 1, out
     finding_lines = [
@@ -58,19 +55,11 @@ def test_fixture_fails_with_its_intended_check(fixture, check, capsys):
     assert all(f" {check}: " in line for line in finding_lines), out
 
 
-def test_repro_package_is_strictly_clean():
-    files = sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
-    project = Project.build(files)
-    assert not project.parse_errors
-    result = analyze(project, build_callgraph(project))
-    suppressions = {
-        module.path: parse_suppressions(module.source_lines, "repro-hotpath")
-        for module in project.modules.values()
-    }
-    remaining = [
-        f for f in result.findings
-        if not suppressed(f.check, f.line, suppressions.get(f.path, {}))
-    ]
+def test_repro_package_is_strictly_clean(repro_program):
+    project, graph = repro_program
+    result = analyze(project, graph)
+    remaining = kept_findings(result.findings, project, "repro-hotpath",
+                              "strict")
     assert remaining == [], "\n".join(f.format() for f in remaining)
     # The hot set itself must stay non-trivial: the KV ops, client
     # senders, and operator bodies are decorated roots.
@@ -78,8 +67,7 @@ def test_repro_package_is_strictly_clean():
     assert len(result.hotset.members) > len(result.hotset.roots)
 
 
-def test_tree_clean_through_the_cli(capsys):
-    code = main([str(REPO_ROOT / "src" / "repro"), "--profile", "strict"])
-    out = capsys.readouterr().out
+def test_tree_clean_through_the_cli(tree_driver_run):
+    code, out = tree_driver_run
     assert code == 0, out
-    assert out.startswith("repro-hotpath: 0 findings"), out
+    assert "\nrepro-hotpath: 0 findings" in out, out

@@ -1,5 +1,5 @@
-"""Harness self-tests: suppressions, profiles, module naming, the CLI
-exit-code contract, and the registry."""
+"""Harness self-tests: suppressions, profiles, module naming, the
+driver's exit-code contract for lint, and the registry."""
 
 from __future__ import annotations
 
@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import all_rules, lint_paths, lint_source
-from repro.lint.cli import main
-from repro.lint.engine import _ConfigError, module_name_for, profile_for
+from repro.analysis import UsageError, module_name_for, profile_for
+from repro.analysis.driver import main
+from repro.lint import all_rules, lint_source
 
 
 def run(source: str, **kwargs):
@@ -58,7 +58,7 @@ def test_suppressing_a_different_rule_does_not_hide():
         def stamp():
             return time.time()  # repro-lint: disable=error-taxonomy
     """)
-    assert [v.rule for v in violations] == ["no-wall-clock"]
+    assert [v.check for v in violations] == ["no-wall-clock"]
 
 
 def test_suppression_list_is_comma_separated():
@@ -92,7 +92,7 @@ def test_relaxed_profile_still_enforces_other_rules():
         def pick():
             return random.random()
     """, profile="relaxed")
-    assert [v.rule for v in violations] == ["no-unseeded-random"]
+    assert [v.check for v in violations] == ["no-unseeded-random"]
 
 
 def test_profile_for_auto_resolution():
@@ -122,11 +122,11 @@ def test_syntax_error_reports_parse_error_violation():
     violations = run("""
         def broken(:
     """)
-    assert [v.rule for v in violations] == ["parse-error"]
+    assert [v.check for v in violations] == ["parse-error"]
 
 
 def test_select_unknown_rule_raises():
-    with pytest.raises(_ConfigError):
+    with pytest.raises(UsageError):
         run("x = 1", select=["no-such-rule"])
 
 
@@ -137,7 +137,7 @@ def test_select_limits_to_named_rules():
         def stamp():
             return time.time(), random.random()
     """, select=["no-wall-clock"])
-    assert {v.rule for v in violations} == {"no-wall-clock"}
+    assert {v.check for v in violations} == {"no-wall-clock"}
 
 
 def test_registry_has_the_nine_rules():
@@ -156,22 +156,22 @@ def test_registry_has_the_nine_rules():
     assert all(rule.invariant for rule in all_rules())
 
 
-# -- CLI exit codes ---------------------------------------------------------
+# -- driver exit codes ------------------------------------------------------
 
 
 def test_cli_exits_zero_on_clean_file(tmp_path, capsys):
     clean = tmp_path / "src" / "repro" / "clean.py"
     clean.parent.mkdir(parents=True)
     clean.write_text("def nothing():\n    return 1\n")
-    assert main([str(clean)]) == 0
-    assert "0 violations" in capsys.readouterr().out
+    assert main([str(clean), "--check", "lint"]) == 0
+    assert "repro-lint: 0 findings" in capsys.readouterr().out
 
 
 def test_cli_exits_one_on_violation(tmp_path, capsys):
     bad = tmp_path / "src" / "repro" / "bad.py"
     bad.parent.mkdir(parents=True)
     bad.write_text("import time\n\ndef stamp():\n    return time.time()\n")
-    assert main([str(bad)]) == 1
+    assert main([str(bad), "--check", "lint"]) == 1
     out = capsys.readouterr().out
     assert "no-wall-clock" in out
 
@@ -179,27 +179,28 @@ def test_cli_exits_one_on_violation(tmp_path, capsys):
 def test_cli_exits_two_on_empty_path(tmp_path, capsys):
     empty = tmp_path / "nothing"
     empty.mkdir()
-    assert main([str(empty)]) == 2
+    assert main([str(empty), "--check", "lint"]) == 2
 
 
 def test_cli_exits_two_on_unknown_rule(tmp_path, capsys):
     f = tmp_path / "x.py"
     f.write_text("x = 1\n")
-    assert main([str(f), "--select", "bogus"]) == 2
+    assert main([str(f), "--check", "bogus"]) == 2
 
 
 def test_cli_list_rules(capsys):
-    assert main(["--list-rules"]) == 0
+    assert main(["--report", "rules"]) == 0
     out = capsys.readouterr().out
     assert "no-wall-clock" in out and "pump-contract" in out
 
 
-def test_lint_paths_auto_profile(tmp_path):
+def test_lint_paths_auto_profile(tmp_path, capsys):
     repro_file = tmp_path / "src" / "repro" / "mod.py"
     repro_file.parent.mkdir(parents=True)
     repro_file.write_text("import time\nt = time.time()\n")
     bench_file = tmp_path / "benchmarks" / "bench.py"
     bench_file.parent.mkdir(parents=True)
     bench_file.write_text("import time\nt = time.time()\n")
-    violations = lint_paths([tmp_path])
-    assert [Path(v.path).name for v in violations] == ["mod.py"]
+    assert main([str(tmp_path), "--check", "lint", "-q"]) == 1
+    flagged = capsys.readouterr().out.splitlines()
+    assert [Path(line.split(":")[0]).name for line in flagged] == ["mod.py"]

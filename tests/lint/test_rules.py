@@ -20,7 +20,7 @@ def run(source: str, module: str = "repro.kv.fixture",
 
 
 def rule_names(violations):
-    return sorted({v.rule for v in violations})
+    return sorted({v.check for v in violations})
 
 
 # -- no-wall-clock ----------------------------------------------------------

@@ -1,25 +1,25 @@
 """The tree itself must lint clean -- this is the tier-1 gate that keeps
-the invariants true going forward, mirroring the CI ``repro-lint`` step."""
+the invariants true going forward, mirroring the CI analyzer step."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.lint import lint_paths
+from repro import lint
+from repro.analysis.driver import kept_findings, main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-def _format(violations):
-    return "\n".join(v.format() for v in violations)
+def test_repro_package_is_strictly_clean(repro_program):
+    project, graph = repro_program
+    findings = kept_findings(lint.analyze(project, graph), project,
+                             "repro-lint", "strict")
+    assert findings == [], "\n".join(f.format() for f in findings)
 
 
-def test_repro_package_is_strictly_clean():
-    violations = lint_paths([REPO_ROOT / "src" / "repro"], profile="strict")
-    assert violations == [], _format(violations)
-
-
-def test_harness_code_is_clean_under_relaxed_profile():
-    paths = [REPO_ROOT / "examples", REPO_ROOT / "benchmarks"]
-    violations = lint_paths(paths, profile="relaxed")
-    assert violations == [], _format(violations)
+def test_harness_code_is_clean_under_relaxed_profile(capsys):
+    code = main([str(REPO_ROOT / "examples"), str(REPO_ROOT / "benchmarks"),
+                 "--profile", "relaxed", "--check", "lint"])
+    out = capsys.readouterr().out
+    assert code == 0, out

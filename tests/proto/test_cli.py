@@ -1,13 +1,20 @@
-"""The repro-proto CLI contract: exit codes, check selection, profiles,
-suppressions (including cross-tool isolation), declaration forms, output
-formats, the protocols report, and call-graph indirection -- one
-contract shared with repro-lint/sanitize/flow/hotpath/bounds."""
+"""Proto through the analyzer driver (``python -m repro.analysis
+--check proto``): exit codes, check selection, profiles, suppressions
+(including cross-tool isolation), declaration forms, output formats,
+the protocols report, and call-graph indirection."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.proto.cli import main
+from repro.analysis import driver
+
+
+def main(argv):
+    """``python -m repro.analysis --check proto ...``; a test's own
+    ``--check`` comes later on the command line and wins."""
+    return driver.main(["--check", "proto", *argv])
+
 
 #: Stubs every fixture source starts from: the zero-overhead declaration
 #: marker (read off the AST by name) and a metrics-shaped emitter.

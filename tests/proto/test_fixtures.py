@@ -1,7 +1,7 @@
 """Every broken fixture must fail with exactly its intended check, and
 the tree itself must analyze clean with *zero* suppressions -- the
 tier-1 gate that keeps the declared lifecycles true going forward,
-mirroring the CI ``repro-proto`` step (and the shape of
+mirroring the CI analyzer step (and the shape of
 ``tests/bounds/test_fixtures.py``)."""
 
 from __future__ import annotations
@@ -10,10 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.flow.callgraph import build_callgraph
-from repro.flow.project import Project
+from repro.analysis.driver import main
 from repro.proto import ALL_CHECKS, analyze
-from repro.proto.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -40,7 +38,8 @@ def test_every_check_has_a_fixture():
 
 @pytest.mark.parametrize("fixture,check", sorted(EXPECTED.items()))
 def test_fixture_fails_with_its_intended_check(fixture, check, capsys):
-    code = main([str(FIXTURES / fixture), "--profile", "strict"])
+    code = main([str(FIXTURES / fixture), "--check", "proto",
+                 "--profile", "strict"])
     out = capsys.readouterr().out
     assert code == 1, out
     finding_lines = [
@@ -51,11 +50,8 @@ def test_fixture_fails_with_its_intended_check(fixture, check, capsys):
     assert all(f" {check}: " in line for line in finding_lines), out
 
 
-def test_repro_package_is_strictly_clean():
-    files = sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
-    project = Project.build(files)
-    assert not project.parse_errors
-    result = analyze(project, build_callgraph(project))
+def test_repro_package_is_strictly_clean(repro_program):
+    result = analyze(*repro_program)
     # Zero suppressions: the raw findings themselves must be empty, not
     # merely silenced.
     assert result.findings == [], "\n".join(
@@ -83,7 +79,7 @@ def test_no_proto_suppressions_in_tree():
     assert offenders == []
 
 
-def test_tree_clean_via_cli(capsys):
-    code = main([str(REPO_ROOT / "src" / "repro"), "--profile", "strict"])
-    out = capsys.readouterr().out
+def test_tree_clean_via_cli(tree_driver_run):
+    code, out = tree_driver_run
     assert code == 0, out
+    assert "\nrepro-proto: 0 findings" in out, out
