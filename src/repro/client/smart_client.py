@@ -525,25 +525,10 @@ class SmartClient:
     @declared_raises('BucketNotFoundError', 'CorruptFileError',
                      'InvalidArgumentError', 'NodeDownError',
                      'NotMyVBucketError', 'TemporaryFailureError')
-    def multi_get(self, bucket: str, keys: list[str], *,
-                  batched: bool = True) -> dict[str, Document]:
+    def multi_get(self, bucket: str, keys: list[str]) -> dict[str, Document]:
         """Batch point lookups: one ``kv_multi_get`` RPC per involved
         node instead of one round trip per key.  Missing keys are simply
-        absent from the result; any other per-key error propagates.
-
-        ``batched=False`` keeps the legacy per-key routed path (one
-        round trip per key) -- the ablation benchmark compares the two.
-        """
-        if not batched:
-            out: dict[str, Document] = {}
-            for key in keys:
-                try:
-                    out[key] = self.get(bucket, key)
-                # Absent keys are simply omitted from the result dict (documented API).
-                # repro-flow: disable-next=swallowed-exception
-                except KeyNotFoundError:
-                    continue
-            return out
+        absent from the result; any other per-key error propagates."""
         batch = self.multi_get_batch(bucket, keys)
         for key, error in batch.errors.items():
             if not isinstance(error, KeyNotFoundError):

@@ -148,9 +148,9 @@ class DcpStream:
         )
         for doc in docs:
             if doc.meta.deleted:
-                self._pending.append(Deletion(vb.id, doc.copy()))
+                self._pending.append(Deletion(vb.id, doc))
             else:
-                self._pending.append(Mutation(vb.id, doc.copy()))
+                self._pending.append(Mutation(vb.id, doc))
         # The marker covers the whole gap even if trailing seqnos were
         # superseded; advance past any silence at the end.
         self._last_backfill_end = backfill_end
@@ -174,9 +174,9 @@ class DcpStream:
         )
         for doc in items:
             if doc.meta.deleted:
-                self._pending.append(Deletion(vb.id, doc.copy()))
+                self._pending.append(Deletion(vb.id, doc))
             else:
-                self._pending.append(Mutation(vb.id, doc.copy()))
+                self._pending.append(Mutation(vb.id, doc))
 
     def close(self) -> None:
         self.phase = DcpStreamState.CLOSED

@@ -17,6 +17,7 @@ an active vBucket assigns sequence numbers and CAS values.
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from typing import Callable, Iterator
 
 from ..common import tracing
@@ -105,7 +106,7 @@ class VBucket:
         return self.high_seqno
 
     def record_change(self, doc: Document) -> None:
-        self.change_buffer.append(doc.copy())
+        self.change_buffer.append(doc)
         if len(self.change_buffer) > self.MAX_BUFFER:
             self.trim_change_buffer()
 
@@ -336,9 +337,7 @@ class KVEngine:
         if entry.doc.ejected:
             # Background fetch: restore the value from the storage engine.
             stored = vb.store.get(key)
-            entry.doc.value = stored.value
-            entry.doc.ejected = False
-            vb.hashtable.charge(sizeof(stored.value or 0))
+            vb.hashtable.replace_doc(entry, value=stored.value, ejected=False)
             self.metrics.inc("kv.bg_fetches")
         entry.referenced = True
         self.metrics.inc("kv.gets")
@@ -508,10 +507,12 @@ class KVEngine:
         if entry is None:
             raise KeyNotFoundError(key)
         self._check_lock_and_cas(vb, key, cas)
+        # The stored value is shared; edit a copy.  The caller's values
+        # are detached by upsert's own ingest copy.
         updated = deep_copy(entry.doc.value)
         for op, path, value in operations:
             if op == "set":
-                set_path(updated, path, deep_copy(value))
+                set_path(updated, path, value)
             elif op == "unset":
                 unset_path(updated, path)
             elif op == "array_append":
@@ -520,7 +521,7 @@ class KVEngine:
                     raise TemporaryFailureError(
                         f"array_append target {path!r} is not an array"
                     )
-                target.append(deep_copy(value))
+                target.append(value)
             else:
                 raise InvalidArgumentError(f"unknown sub-document op {op!r}")
         self.metrics.inc("kv.subdoc_mutations")
@@ -545,7 +546,7 @@ class KVEngine:
         # Locking changes the visible CAS so other writers' optimistic
         # updates fail fast.
         lock_cas = self._next_cas(vb)
-        entry.doc.meta.cas = lock_cas
+        vb.hashtable.replace_doc(entry, meta=replace(entry.doc.meta, cas=lock_cas))
         entry.lock_cas = lock_cas
         entry.locked_until = now + (
             lock_time if lock_time is not None else self.LOCK_TIMEOUT
@@ -609,9 +610,8 @@ class KVEngine:
         if entry is not None and not _xdcr_wins(incoming, entry.doc):
             self.metrics.inc("xdcr.rejected")
             return False
-        doc = incoming.copy()
-        doc.meta.seqno = vb.next_seqno()
-        doc.meta.vbucket_id = vb.id
+        doc = replace(incoming, meta=replace(
+            incoming.meta, seqno=vb.next_seqno(), vbucket_id=vb.id))
         vb.high_cas = max(vb.high_cas, doc.meta.cas)
         self._apply_mutation(vb, doc)
         self.metrics.inc("xdcr.applied")
@@ -642,12 +642,11 @@ class KVEngine:
             raise NotMyVBucketError(vbucket_id, self.node_name)
         for doc in docs:
             tracing.record_write(f"kv/{self.node_name}/{self.bucket_name}")
-            copy = doc.copy()
-            vb.hashtable.set(copy, dirty=True)
-            vb.dirty_queue.append(copy.key)
-            vb.high_seqno = max(vb.high_seqno, copy.meta.seqno)
-            vb.high_cas = max(vb.high_cas, copy.meta.cas)
-            vb.record_change(copy)
+            vb.hashtable.set(doc, dirty=True)
+            vb.dirty_queue.append(doc.key)
+            vb.high_seqno = max(vb.high_seqno, doc.meta.seqno)
+            vb.high_cas = max(vb.high_cas, doc.meta.cas)
+            vb.record_change(doc)
         self.metrics.inc("kv.replica_mutations", len(docs))
 
     # -- background pumps ------------------------------------------------------------
@@ -679,7 +678,7 @@ class KVEngine:
                 doc = entry.doc
                 if doc.ejected:
                     continue  # already persisted (that's how it got ejected)
-                docs.append(doc.copy())
+                docs.append(doc)
             if docs:
                 tracing.record_write(f"kv/{self.node_name}/{self.bucket_name}")
                 vb.store.save_docs(docs)
@@ -742,7 +741,7 @@ class KVEngine:
         loaded = 0
         for vb in self.vbuckets.values():
             for doc in vb.store.all_docs(include_deleted=True):
-                vb.hashtable.set(doc.copy(), dirty=False)
+                vb.hashtable.set(doc, dirty=False)
                 vb.high_cas = max(vb.high_cas, doc.meta.cas)
                 loaded += 1
             vb.high_seqno = max(vb.high_seqno, vb.store.update_seq)
@@ -765,7 +764,11 @@ class KVEngine:
     def memory_used_full(self) -> int:
         """Ground truth by full re-summation; tests assert it always
         matches the incremental counter."""
-        return sum(vb.hashtable.memory_used for vb in self.vbuckets.values())
+        return sum(
+            entry.doc.memory_footprint()
+            for vb in self.vbuckets.values()
+            for _key, entry in vb.hashtable.items()
+        )
 
     def _ensure_quota_headroom(self, incoming: Document) -> None:
         if self.quota_bytes is None:
@@ -858,4 +861,4 @@ class KVEngine:
                 continue
             if doc.ejected:
                 doc = vb.store.get(key)
-            yield doc.copy()
+            yield doc

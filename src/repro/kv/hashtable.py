@@ -15,6 +15,7 @@ bucket quota.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Iterator
 
 from ..common.document import Document
@@ -89,6 +90,14 @@ class HashTable:
         self.charge(doc.memory_footprint())
         return entry
 
+    def replace_doc(self, entry: CacheEntry, **changes) -> None:
+        """Swap ``entry``'s document for a copy with ``changes`` applied
+        (documents are frozen and shared with DCP, replicas and the
+        flusher) and re-charge the footprint delta."""
+        old = entry.doc
+        entry.doc = replace(old, **changes)
+        self.charge(entry.doc.memory_footprint() - old.memory_footprint())
+
     def remove(self, key: str) -> None:
         entry = self._entries.pop(key, None)
         if entry is not None:
@@ -101,10 +110,7 @@ class HashTable:
         entry = self._entries.get(key)
         if entry is None or entry.dirty or entry.doc.ejected or entry.doc.meta.deleted:
             return False
-        self.charge(-entry.doc.memory_footprint())
-        entry.doc.value = None
-        entry.doc.ejected = True
-        self.charge(entry.doc.memory_footprint())
+        self.replace_doc(entry, value=None, ejected=True)
         return True
 
     def eject_entry(self, key: str) -> bool:

@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from ..common.jsonval import deep_copy
+
 MapFn = Callable[[dict, "DocMetaView", Callable[[Any, Any], None]], None]
 ReduceFn = Callable[[list, bool], Any]
 
@@ -108,14 +110,16 @@ class ViewDefinition:
     def run_map(self, doc: dict, meta: DocMetaView) -> list[tuple[Any, Any]]:
         """Apply the map function; returns the emitted (key, value) rows.
         A throwing map function indexes nothing for that document (the
-        server logs and skips, it does not fail the build)."""
+        server logs and skips, it does not fail the build).  The map
+        function is user code: it gets its own copy of the document, so
+        it can never change the stored one."""
         rows: list[tuple[Any, Any]] = []
 
         def emit(key, value=None):
             rows.append((key, value))
 
         try:
-            self.map_fn(doc, meta, emit)
+            self.map_fn(deep_copy(doc), meta, emit)
         except Exception:
             return []
         return rows

@@ -63,7 +63,8 @@ class TestNodeGrouping:
         client.multi_upsert("b", {k: 1 for k in keys})
 
         cluster.network.reset_counters()
-        client.multi_get("b", keys, batched=False)
+        for key in keys:  # the unbatched route: one get round trip per key
+            client.get("b", key)
         per_key = cluster.network.latency_charged
 
         cluster.network.reset_counters()

@@ -1,5 +1,8 @@
 """Tests for Document/DocumentMeta semantics."""
 
+from dataclasses import FrozenInstanceError, replace
+
+import pytest
 
 from repro.common.document import Document, DocumentMeta
 
@@ -13,8 +16,14 @@ class TestDocumentMeta:
 
     def test_copy_is_independent(self):
         meta = DocumentMeta(key="k", cas=5)
-        copy = meta.copy()
-        copy.cas = 9
+        changed = replace(meta, cas=9)
+        assert changed.cas == 9
+        assert meta.cas == 5
+
+    def test_fields_are_frozen(self):
+        meta = DocumentMeta(key="k", cas=5)
+        with pytest.raises(FrozenInstanceError):
+            meta.cas = 9
         assert meta.cas == 5
 
     def test_expiry_semantics(self):
@@ -38,6 +47,15 @@ class TestDocument:
         copy = doc.copy()
         copy.value["a"].append(2)
         assert doc.value == {"a": [1]}
+
+    def test_fields_are_frozen(self):
+        doc = Document(DocumentMeta(key="k"), {"a": 1})
+        for field, value in (("value", None), ("ejected", True),
+                             ("meta", DocumentMeta(key="other"))):
+            with pytest.raises(FrozenInstanceError):
+                setattr(doc, field, value)
+        assert doc == Document(DocumentMeta(key="k"), {"a": 1})
+        assert not doc.ejected
 
     def test_key_property(self):
         assert Document(DocumentMeta(key="k"), 1).key == "k"

@@ -14,6 +14,9 @@ from repro.kv.engine import KVEngine, VBucketState
 
 VBUCKETS = range(4)
 
+#: JSON bodies that are falsy in Python: "", {}, [], false and null.
+FALSY_BODIES = ["", {}, [], False, None]
+
 
 @pytest.fixture
 def clock():
@@ -76,6 +79,19 @@ class TestCounterTracksGroundTruth:
                   if engine.vbuckets[v].hashtable.peek(victim) is not None)
         assert engine.get(vb, victim).value == "v" * 512
         check(engine)
+        # Falsy bodies too: every eject + background fetch round trip
+        # must bring the counter back to exactly where it was.
+        for i, body in enumerate(FALSY_BODIES):
+            key = f"falsy{i}"
+            engine.upsert(0, key, body)
+            engine.flush()
+            resident = engine.memory_used()
+            for _round in range(3):
+                assert engine.vbuckets[0].hashtable.eject_value(key)
+                check(engine)
+                assert engine.get(0, key).value == body
+                check(engine)
+                assert engine.memory_used() == resident
 
     def test_expiry_pager(self, engine, clock):
         for i in range(16):

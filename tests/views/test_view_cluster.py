@@ -87,6 +87,48 @@ class TestIncrementalMaintenance:
         assert len(result.rows) == 0
 
 
+class TestMapFunctionIsolation:
+    """A map function is user code: it gets a copy, never the stored
+    document the cache, DCP and replicas share."""
+
+    @staticmethod
+    def vandal_view():
+        def map_fn(doc, meta, emit):
+            emit(doc["age"], None)
+            doc["tags"].append("vandal")
+            doc["age"] = -1
+            del doc["name"]
+
+        return ViewDefinition("dd", "vandal", map_fn)
+
+    @staticmethod
+    def stored_value(cluster, key):
+        cluster_map = cluster.manager.cluster_maps["b"]
+        vb = cluster_map.vbucket_for_key(key)
+        engine = cluster.node(cluster_map.active_node(vb)).engines["b"]
+        return engine.vbuckets[vb].hashtable.peek(key).doc.value
+
+    def test_initial_build_leaves_stored_doc_unchanged(self, cluster, client):
+        original = {"name": "ann", "age": 30, "tags": ["a"]}
+        client.upsert("b", "u1", original)
+        cluster.run_until_idle()
+        cluster.define_view("b", self.vandal_view())
+        rows = client.view_query("b", "dd", "vandal", stale="ok").rows
+        assert [row["key"] for row in rows] == [30]
+        assert self.stored_value(cluster, "u1") == original
+        assert client.get("b", "u1").value == original
+
+    def test_dcp_update_leaves_stored_doc_unchanged(self, cluster, client):
+        cluster.define_view("b", self.vandal_view())
+        original = {"name": "bob", "age": 41, "tags": ["b"]}
+        client.upsert("b", "u2", original)
+        cluster.run_until_idle()
+        rows = client.view_query("b", "dd", "vandal", stale="ok").rows
+        assert [row["key"] for row in rows] == [41]
+        assert self.stored_value(cluster, "u2") == original
+        assert client.get("b", "u2").value == original
+
+
 class TestStaleness:
     def test_stale_ok_may_miss_fresh_writes(self, cluster, client):
         """Eventually consistent by default (section 3.1.2): without
