@@ -18,6 +18,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from ..common.jsonval import deep_copy
 from ..n1ql.collation import MISSING
 
 #: Extracts one index key component from (doc, doc_id).
@@ -139,8 +140,11 @@ class IndexDefinition:
 
 
 def _frozen(value: Any) -> Any:
-    """MISSING is kept as the sentinel; everything else passes through."""
-    return value
+    """An index owns its key values: copy them as they enter, so nothing
+    the index keeps or hands out (covered rows, group values, MIN/MAX)
+    is a sub-object of a stored document.  MISSING is kept as the
+    sentinel."""
+    return deep_copy(value)
 
 
 def _tokenable(components: list) -> list:
