@@ -4,7 +4,8 @@ Version 4.5's memory-optimized indexes "reside completely in memory,
 dramatically reducing dependence on disk ... allow very fast index scans
 ... and can keep up with higher mutation rates".  This bench compares
 the two storage backends directly on mutation-drain and scan cost, plus
-the disk-bytes profile.
+the disk-bytes profile.  The scans read their own fixtures, which no
+mutation benchmark touches, so both backends scan equal indexes.
 """
 
 import itertools
@@ -36,24 +37,34 @@ def memopt():
     return _preloaded("memopt")
 
 
+@pytest.fixture(scope="module")
+def standard_writes():
+    return _preloaded("standard")
+
+
+@pytest.fixture(scope="module")
+def memopt_writes():
+    return _preloaded("memopt")
+
+
 _mutation_keys = itertools.count(N_PRELOAD)
 
 
 @pytest.mark.benchmark(group="memopt-mutations")
-def test_standard_mutation_drain(standard, benchmark):
+def test_standard_mutation_drain(standard_writes, benchmark):
     def op():
         i = next(_mutation_keys)
-        standard.update_doc(f"d{i:06d}", [[i % 500, f"d{i:06d}"]])
+        standard_writes.update_doc(f"d{i:06d}", [[i % 500, f"d{i:06d}"]])
 
     benchmark(op)
     results["standard mutation"] = benchmark.stats.stats.mean
 
 
 @pytest.mark.benchmark(group="memopt-mutations")
-def test_memopt_mutation_drain(memopt, benchmark):
+def test_memopt_mutation_drain(memopt_writes, benchmark):
     def op():
         i = next(_mutation_keys)
-        memopt.update_doc(f"d{i:06d}", [[i % 500, f"d{i:06d}"]])
+        memopt_writes.update_doc(f"d{i:06d}", [[i % 500, f"d{i:06d}"]])
 
     benchmark(op)
     results["memopt mutation"] = benchmark.stats.stats.mean
@@ -86,7 +97,7 @@ def _report_and_assert(standard, memopt):
     rows.append(("memopt disk bytes", f"{memopt.disk_bytes():,}"))
     rows.append(("memopt memory bytes", f"{memopt.memory_bytes():,}"))
     print_series(
-        "Ablation: standard (disk B-tree) vs memory-optimized (skiplist) GSI",
+        "Ablation: standard (disk B-tree) vs memory-optimized (sorted list) GSI",
         ("metric", "value"),
         rows,
     )
@@ -97,3 +108,7 @@ def _report_and_assert(standard, memopt):
     # Memopt mutations must not be slower than the copy-on-write B-tree
     # (which rewrites a root-to-leaf path per batch).
     assert results["memopt mutation"] < results["standard mutation"]
+    # "Very fast index scans": over equal indexes, memopt scans beat the
+    # disk B-tree's node reads.
+    assert standard.count() == memopt.count() == N_PRELOAD
+    assert results["memopt scan"] < results["standard scan"]

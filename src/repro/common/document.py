@@ -32,9 +32,10 @@ code the server does not own:
   through ``get``);
 * N1QL -- the fetch operator copies a document bound to a second row,
   and DML copies the current value before applying ``SET``/``UNSET``;
-* index ingest -- ``IndexDefinition.entries_for`` copies every key
-  value into the GSI index, so covered rows, group values and pushed
-  MIN/MAX results are the index's own objects;
+* indexes -- GSI and view indexes store an encoding of each key value
+  (:func:`repro.n1ql.collation.collate_key`), never the value itself,
+  and decode fresh values on every scan, so covered rows, group values
+  and pushed MIN/MAX results share nothing with a stored document;
 * views -- ``ViewDefinition.run_map`` hands the user's map function a
   copy.
 """

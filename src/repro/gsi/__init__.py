@@ -14,7 +14,7 @@ from .indexdef import (
 from .indexer import Indexer, IndexInstance
 from .manager import GsiCoordinator, IndexMeta, IndexRegistry, IndexService
 from .projector import KeyVersion, Projector, Router
-from .storage import BTreeIndexStorage, SkipListIndexStorage, make_storage
+from .storage import BTreeIndexStorage, SortedListIndexStorage, make_storage
 
 __all__ = [
     "BTreeIndexStorage",
@@ -28,7 +28,7 @@ __all__ = [
     "KeyVersion",
     "Projector",
     "Router",
-    "SkipListIndexStorage",
+    "SortedListIndexStorage",
     "array_index",
     "attribute_index",
     "make_storage",

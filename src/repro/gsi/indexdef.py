@@ -15,10 +15,9 @@ common attribute-path extractors directly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
-from ..common.jsonval import deep_copy
 from ..n1ql.collation import MISSING
 
 #: Extracts one index key component from (doc, doc_id).
@@ -67,7 +66,7 @@ class IndexDefinition:
     #: Which key component (if any) is an ARRAY index: its extractor
     #: yields a list and every distinct element becomes an entry.
     array_component: int | None = None
-    #: "standard" (disk B-tree) or "memopt" (in-memory skiplist, §6.1.1).
+    #: "standard" (disk B-tree) or "memopt" (in-memory sorted list, §6.1.1).
     storage: str = "standard"
     #: True for CREATE PRIMARY INDEX (indexes meta().id).
     is_primary: bool = False
@@ -109,7 +108,7 @@ class IndexDefinition:
         if self.array_component is None:
             if components[0] is MISSING:
                 return []
-            return [[_frozen(c) for c in components]]
+            return [components]
         array_value = components[self.array_component]
         if not isinstance(array_value, list):
             return []
@@ -124,7 +123,7 @@ class IndexDefinition:
             if token in seen:
                 continue  # DISTINCT ARRAY semantics
             seen.add(token)
-            entries.append([_frozen(c) for c in expanded])
+            entries.append(expanded)
         return entries
 
     def describe(self) -> dict:
@@ -137,14 +136,6 @@ class IndexDefinition:
             "is_primary": self.is_primary,
             "partitions": self.num_partitions,
         }
-
-
-def _frozen(value: Any) -> Any:
-    """An index owns its key values: copy them as they enter, so nothing
-    the index keeps or hands out (covered rows, group values, MIN/MAX)
-    is a sub-object of a stored document.  MISSING is kept as the
-    sentinel."""
-    return deep_copy(value)
 
 
 def _tokenable(components: list) -> list:

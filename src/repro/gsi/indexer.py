@@ -27,7 +27,7 @@ from ..common.errors import (
 from ..n1ql.collation import MISSING, compare
 from .indexdef import IndexDefinition
 from .projector import KeyVersion
-from .storage import composite_compare, make_storage
+from .storage import make_storage, row_key
 
 
 class IndexInstance:
@@ -133,9 +133,9 @@ class Indexer:
         at the page boundary are re-walked but never re-returned."""
         instance = self.instance(name)
         page_size = max(1, page_size)
-        after_row: list | None = None
+        after_key: list | None = None
         if after is not None:
-            after_row = [after[0], after[1]]
+            after_key = row_key(after)
             if descending:
                 high, inclusive_high = after[0], True
             else:
@@ -144,10 +144,11 @@ class Indexer:
         for key_components, doc_id in instance.storage.scan(
             low, high, inclusive_low, inclusive_high, descending,
         ):
-            if after_row is not None:
-                order = composite_compare([key_components, doc_id], after_row)
-                if order >= 0 if descending else order <= 0:
+            if after_key is not None:
+                key = row_key((key_components, doc_id))
+                if key >= after_key if descending else key <= after_key:
                     continue
+                after_key = None  # rows arrive in order: the rest are past it
             rows.append((key_components, doc_id))
             if len(rows) >= page_size:
                 break

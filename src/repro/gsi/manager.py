@@ -19,7 +19,6 @@ Three pieces live here:
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -40,7 +39,7 @@ from ..n1ql.collation import MISSING, compare
 from .indexdef import IndexDefinition
 from .indexer import Indexer
 from .projector import KeyVersion, Router
-from .storage import HIGH_BOUND, composite_compare
+from .storage import encode, row_key
 
 if TYPE_CHECKING:
     from ..server import Cluster
@@ -53,18 +52,6 @@ SCAN_PAGE_SIZE = 64
 #: every partition's full partial before merging (the pre-scatter-gather
 #: behaviour, minus the removed concat+sort).
 PARALLEL_SCAN_ENABLED = True
-
-#: Total order over (key_components, doc_id) rows for the k-way merge;
-#: identical to the ordering the index nodes return pages in.
-_ROW_ORDER = functools.cmp_to_key(
-    lambda a, b: composite_compare([a[0], a[1]], [b[0], b[1]])
-)
-
-#: Deterministic output order for merged aggregate groups: collation
-#: order over the group key values.
-_GROUP_ORDER = functools.cmp_to_key(
-    lambda a, b: composite_compare([a[0], ""], [b[0], ""])
-)
 
 
 @dataclass
@@ -289,7 +276,6 @@ class GsiCoordinator:
         meta = self.registry.require(name)
         if meta.state != "ready":
             raise IndexNotReadyError(name)
-        high = self._pad_high(meta, high, inclusive_high)
         self._consistency_barrier(meta, scan_consistency, mutation_tokens)
         if limit is not None and limit <= 0:
             return []
@@ -320,8 +306,7 @@ class GsiCoordinator:
                 )
                 for node_name in node_names
             ]
-            merged = heapq.merge(*partials, key=_ROW_ORDER,
-                                 reverse=descending)
+            merged = heapq.merge(*partials, key=row_key, reverse=descending)
             return list(itertools.islice(merged, limit))
         # Parallel scatter-gather: one wave of first-page RPCs to every
         # partition (charged a single round trip -- the calls overlap),
@@ -340,7 +325,7 @@ class GsiCoordinator:
                               exhausted)
             for node_name, (rows, exhausted) in zip(node_names, first_pages)
         ]
-        merged = heapq.merge(*streams, key=_ROW_ORDER, reverse=descending)
+        merged = heapq.merge(*streams, key=row_key, reverse=descending)
         return list(itertools.islice(merged, limit))
 
     def _page_stream(self, node_name: str, name: str, low, high,
@@ -384,7 +369,6 @@ class GsiCoordinator:
         meta = self.registry.require(name)
         if meta.state != "ready":
             raise IndexNotReadyError(name)
-        high = self._pad_high(meta, high, inclusive_high)
         self._consistency_barrier(meta, scan_consistency, mutation_tokens)
         node_names = list(dict.fromkeys(meta.nodes))
         # A down partition would silently drop its groups' rows from the
@@ -417,17 +401,9 @@ class GsiCoordinator:
                             and compare(theirs[2], mine[2]) > 0:
                         mine[2] = theirs[2]
         out = list(merged.values())
-        out.sort(key=_GROUP_ORDER)
+        # Deterministic output: collation order over the group values.
+        out.sort(key=lambda group: encode(group[0]))
         return out
-
-    def _pad_high(self, meta: IndexMeta, high: list | None,
-                  inclusive_high: bool) -> list | None:
-        arity = len(meta.definition.key_sources)
-        if high is not None and inclusive_high and len(high) < arity:
-            # Prefix upper bound: pad with a past-everything sentinel so
-            # composite entries sharing the prefix are included.
-            high = list(high) + [HIGH_BOUND] * (arity - len(high))
-        return high
 
     def _consistency_barrier(self, meta: IndexMeta, scan_consistency: str,
                              mutation_tokens: list | None) -> None:

@@ -11,64 +11,53 @@ backends expose the same interface:
   keys, yielding ``(key_tuple, doc_id)``;
 * ``count()`` / stats.
 
-Composite keys are lists of JSON values compared component-wise under
-N1QL collation, with the doc_id as the final tiebreaker.
+Both store rows ``[encoded_components, doc_id]``, each component encoded
+with :func:`~repro.n1ql.collation.collate_key`, so rows compare with
+plain ``<`` in N1QL collation order with the doc_id as the final
+tiebreaker.  A bound is ``[encoded_prefix]``: it sorts before every row
+whose components extend the prefix, and ``[encoded_prefix + [TOP]]``
+after every such row.  Scans decode fresh values, so nothing a scan
+hands out is shared with the index.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Any, Iterator
+import json
+from bisect import bisect_left
+from typing import Iterator
 
 from ..common.disk import SimulatedDisk
 from ..common.errors import InvalidArgumentError
-from ..n1ql.collation import MISSING, compare
+from ..n1ql.collation import TOP, collate_key, from_collate_key
 from ..storage.appendlog import AppendLog
 from ..storage.btree import BTree
 
-#: Encoded form of MISSING inside stored keys (MISSING is not JSON).
-_MISSING_TOKEN = {"__missing__": True}
+
+def encode(components: list) -> list:
+    return [collate_key(c) for c in components]
 
 
-def encode_key(components: list) -> list:
-    return [
-        _MISSING_TOKEN if c is MISSING else c
-        for c in components
-    ]
+def decode(encoded: list) -> list:
+    return [from_collate_key(k) for k in encoded]
 
 
-def decode_key(components: list) -> list:
-    return [
-        MISSING if isinstance(c, dict) and c.get("__missing__") else c
-        for c in components
-    ]
+def row_key(row: tuple[list, str]) -> list:
+    """Sort key of a decoded ``(key_components, doc_id)`` scan row."""
+    return [encode(row[0]), row[1]]
 
 
-def composite_compare(a, b) -> int:
-    """Compare [key_components, doc_id] pairs."""
-    order = _components_compare(a[0], b[0])
-    if order != 0:
-        return order
-    return compare(a[1], b[1])
+def _bound(components: list, past_prefix: bool) -> list:
+    """The row-order bound just before (or, with ``past_prefix``, just
+    after) every row whose components extend ``components``."""
+    encoded = encode(components)
+    return [encoded + [TOP]] if past_prefix else [encoded]
 
 
-def _components_compare(a: list, b: list) -> int:
-    for item_a, item_b in zip(a, b):
-        order = compare(_decode_one(item_a), _decode_one(item_b))
-        if order != 0:
-            return order
-    return (len(a) > len(b)) - (len(a) < len(b))
-
-
-def _decode_one(value):
-    if isinstance(value, dict) and value.get("__missing__"):
-        return MISSING
-    return value
-
-
-#: Bounds used to turn a bare-key range into a composite range.
-LOW_BOUND: Any = ""
-HIGH_BOUND: Any = {"￿": "￿"}
+def _bounds(low: list | None, high: list | None, inclusive_low: bool,
+            inclusive_high: bool) -> tuple[list | None, list | None]:
+    start = None if low is None else _bound(low, not inclusive_low)
+    end = None if high is None else _bound(high, inclusive_high)
+    return start, end
 
 
 class BTreeIndexStorage:
@@ -79,37 +68,29 @@ class BTreeIndexStorage:
 
     def __init__(self, disk: SimulatedDisk, filename: str):
         self.log = AppendLog(disk.open(filename))
-        self.tree = BTree(self.log, compare=composite_compare)
+        self.tree = BTree(self.log)
+        #: doc_id -> the rows it stored.
         self.back_index: dict[str, list] = {}
 
     def update_doc(self, doc_id: str, entries: list[list]) -> None:
         deletes = self.back_index.pop(doc_id, [])
-        inserts = []
-        stored_keys = []
-        for key_components in entries:
-            composite = [encode_key(key_components), doc_id]
-            inserts.append((composite, None))
-            stored_keys.append(composite)
-        if not deletes and not inserts:
+        rows = [[encode(components), doc_id] for components in entries]
+        if not deletes and not rows:
             return
-        self.tree = self.tree.batch_update(inserts=inserts, deletes=deletes)
-        if stored_keys:
-            self.back_index[doc_id] = stored_keys
+        self.tree = self.tree.batch_update(
+            inserts=[(row, None) for row in rows], deletes=deletes,
+        )
+        if rows:
+            self.back_index[doc_id] = rows
 
     def scan(self, low: list | None, high: list | None,
              inclusive_low: bool = True, inclusive_high: bool = True,
              descending: bool = False) -> Iterator[tuple[list, str]]:
-        start = end = None
-        if low is not None:
-            start = [encode_key(low),
-                     LOW_BOUND if inclusive_low else HIGH_BOUND]
-        if high is not None:
-            end = [encode_key(high),
-                   HIGH_BOUND if inclusive_high else LOW_BOUND]
-        for composite, _value in self.tree.range(
+        start, end = _bounds(low, high, inclusive_low, inclusive_high)
+        for (encoded, doc_id), _value in self.tree.range(
             start=start, end=end, descending=descending,
         ):
-            yield decode_key(composite[0]), composite[1]
+            yield decode(encoded), doc_id
 
     def count(self) -> int:
         return self.tree.count()
@@ -121,139 +102,63 @@ class BTreeIndexStorage:
         return self.log.size
 
 
-class _SkipNode:
-    __slots__ = ("key", "doc_id", "forward")
-
-    def __init__(self, key, doc_id, level):
-        self.key = key
-        self.doc_id = doc_id
-        self.forward: list = [None] * level
-
-
-class SkipListIndexStorage:
-    """Memory-optimized index (section 6.1.1): a skiplist kept entirely
-    in memory, with :meth:`snapshot_to_disk` providing the paper's
-    "recoverability via disk-backups"."""
+class SortedListIndexStorage:
+    """Memory-optimized index (section 6.1.1): a sorted list of rows
+    kept entirely in memory with :mod:`bisect`, with
+    :meth:`snapshot_to_disk` providing the paper's "recoverability via
+    disk-backups"."""
 
     kind = "memopt"
-    MAX_LEVEL = 16
-    P = 0.5
 
     def __init__(self, disk: SimulatedDisk | None = None,
-                 filename: str | None = None, seed: int = 7):
-        self._rng = random.Random(seed)
-        self._head = _SkipNode(None, None, self.MAX_LEVEL)
-        self._level = 1
-        self._size = 0
+                 filename: str | None = None):
+        self._rows: list[list] = []
+        #: doc_id -> the rows it stored.
         self.back_index: dict[str, list] = {}
         self._disk = disk
         self._filename = filename
 
-    # -- skiplist internals -----------------------------------------------------
+    def _insert(self, row: list) -> None:
+        """Insert ``row``; like the B-tree, it replaces an equal row."""
+        index = bisect_left(self._rows, row)
+        if index < len(self._rows) and self._rows[index] == row:
+            self._rows[index] = row
+        else:
+            self._rows.insert(index, row)
 
-    def _random_level(self) -> int:
-        level = 1
-        while self._rng.random() < self.P and level < self.MAX_LEVEL:
-            level += 1
-        return level
-
-    def _less(self, node: _SkipNode, key, doc_id) -> bool:
-        order = composite_compare([node.key, node.doc_id], [key, doc_id])
-        return order < 0
-
-    def _insert(self, key, doc_id) -> None:
-        update = [self._head] * self.MAX_LEVEL
-        node = self._head
-        for level in range(self._level - 1, -1, -1):
-            while (node.forward[level] is not None
-                   and self._less(node.forward[level], key, doc_id)):
-                node = node.forward[level]
-            update[level] = node
-        candidate = node.forward[0]
-        if (candidate is not None
-                and composite_compare([candidate.key, candidate.doc_id],
-                                      [key, doc_id]) == 0):
-            return  # already present
-        new_level = self._random_level()
-        if new_level > self._level:
-            self._level = new_level
-        new_node = _SkipNode(key, doc_id, new_level)
-        for level in range(new_level):
-            new_node.forward[level] = update[level].forward[level]
-            update[level].forward[level] = new_node
-        self._size += 1
-
-    def _delete(self, key, doc_id) -> None:
-        update = [self._head] * self.MAX_LEVEL
-        node = self._head
-        for level in range(self._level - 1, -1, -1):
-            while (node.forward[level] is not None
-                   and self._less(node.forward[level], key, doc_id)):
-                node = node.forward[level]
-            update[level] = node
-        target = node.forward[0]
-        if (target is None
-                or composite_compare([target.key, target.doc_id],
-                                     [key, doc_id]) != 0):
-            return
-        for level in range(self._level):
-            if update[level].forward[level] is target:
-                update[level].forward[level] = target.forward[level]
-        self._size -= 1
+    def _delete(self, row: list) -> None:
+        index = bisect_left(self._rows, row)
+        if index < len(self._rows) and self._rows[index] == row:
+            del self._rows[index]
 
     # -- storage interface ---------------------------------------------------------
 
     def update_doc(self, doc_id: str, entries: list[list]) -> None:
-        for old_key in self.back_index.pop(doc_id, []):
-            self._delete(old_key, doc_id)
-        stored = []
-        for key_components in entries:
-            encoded = encode_key(key_components)
-            self._insert(encoded, doc_id)
-            stored.append(encoded)
-        if stored:
-            self.back_index[doc_id] = stored
+        for row in self.back_index.pop(doc_id, []):
+            self._delete(row)
+        rows = [[encode(components), doc_id] for components in entries]
+        for row in rows:
+            self._insert(row)
+        if rows:
+            self.back_index[doc_id] = rows
 
     def scan(self, low: list | None, high: list | None,
              inclusive_low: bool = True, inclusive_high: bool = True,
              descending: bool = False) -> Iterator[tuple[list, str]]:
-        rows = self._scan_ascending(low, high, inclusive_low, inclusive_high)
-        if descending:
-            rows = reversed(list(rows))
-        yield from rows
-
-    def _scan_ascending(self, low, high, inclusive_low, inclusive_high):
-        start_key = None
-        if low is not None:
-            start_key = [encode_key(low),
-                         LOW_BOUND if inclusive_low else HIGH_BOUND]
-        node = self._head
-        if start_key is not None:
-            for level in range(self._level - 1, -1, -1):
-                while (node.forward[level] is not None
-                       and composite_compare(
-                           [node.forward[level].key,
-                            node.forward[level].doc_id],
-                           start_key) < 0):
-                    node = node.forward[level]
-        node = node.forward[0]
-        end_key = None
-        if high is not None:
-            end_key = [encode_key(high),
-                       HIGH_BOUND if inclusive_high else LOW_BOUND]
-        while node is not None:
-            if end_key is not None and composite_compare(
-                    [node.key, node.doc_id], end_key) > 0:
-                return
-            yield decode_key(node.key), node.doc_id
-            node = node.forward[0]
+        start, end = _bounds(low, high, inclusive_low, inclusive_high)
+        first = 0 if start is None else bisect_left(self._rows, start)
+        stop = len(self._rows) if end is None else bisect_left(self._rows, end)
+        positions = range(first, stop)
+        for position in reversed(positions) if descending else positions:
+            encoded, doc_id = self._rows[position]
+            yield decode(encoded), doc_id
 
     def count(self) -> int:
-        return self._size
+        return len(self._rows)
 
     def memory_bytes(self) -> int:
-        # Rough accounting: node overhead plus key contents.
-        return self._size * 96
+        # Rough accounting: row overhead plus key contents.
+        return len(self._rows) * 96
 
     def disk_bytes(self) -> int:
         return 0
@@ -265,41 +170,29 @@ class SkipListIndexStorage:
         written.  Recovery is :meth:`load_snapshot` on a fresh instance."""
         if self._disk is None or self._filename is None:
             raise InvalidArgumentError("no backing disk configured for snapshots")
-        import json
-        payload = json.dumps(
-            [[node_key, doc_id] for node_key, doc_id in self._raw_items()],
-            separators=(",", ":"),
-        ).encode("utf-8")
+        payload = json.dumps(self._rows, separators=(",", ":")).encode("utf-8")
         file = self._disk.open(self._filename + ".snapshot")
         file.truncate(0)
-        offset = file.append(payload)
+        file.append(payload)
         file.sync()
         return len(payload)
 
     def load_snapshot(self) -> int:
-        import json
         file = self._disk.open(self._filename + ".snapshot")
         if file.size == 0:
             return 0
-        payload = file.read(0, file.size)
-        rows = json.loads(payload.decode("utf-8"))
-        for node_key, doc_id in rows:
-            self._insert(node_key, doc_id)
-            self.back_index.setdefault(doc_id, []).append(node_key)
+        rows = json.loads(file.read(0, file.size).decode("utf-8"))
+        for row in rows:
+            self._insert(row)
+            self.back_index.setdefault(row[1], []).append(row)
         return len(rows)
-
-    def _raw_items(self):
-        node = self._head.forward[0]
-        while node is not None:
-            yield node.key, node.doc_id
-            node = node.forward[0]
 
 
 def make_storage(kind: str, disk: SimulatedDisk, filename: str):
     """Factory for the two index storage backends ("standard" disk
-    B-tree or "memopt" in-memory skiplist, section 6.1.1)."""
+    B-tree or "memopt" in-memory sorted list, section 6.1.1)."""
     if kind == "standard":
         return BTreeIndexStorage(disk, filename)
     if kind == "memopt":
-        return SkipListIndexStorage(disk, filename)
+        return SortedListIndexStorage(disk, filename)
     raise InvalidArgumentError(f"unknown index storage kind {kind!r}")

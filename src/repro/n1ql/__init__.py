@@ -9,7 +9,7 @@ Submodules are imported lazily: the GSI layer depends on
 here would close an import cycle back into GSI.
 """
 
-from .collation import MISSING, compare, sort_key
+from .collation import MISSING, collate_key, compare
 
 __all__ = [
     "Catalog",
@@ -20,10 +20,10 @@ __all__ = [
     "QueryResult",
     "QueryService",
     "ViewIndexInfo",
+    "collate_key",
     "compare",
     "parse",
     "print_expr",
-    "sort_key",
 ]
 
 _LAZY = {

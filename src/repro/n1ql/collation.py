@@ -16,11 +16,15 @@ CouchDB order the paper's systems implement):
 field in a document.  It is what makes N1QL's semantics "non-first
 normal form": expressions over absent fields yield MISSING, which sorts
 before everything and is excluded from index entries for leading keys.
+
+The order is defined once, by :func:`collate_key`: a lossless JSON
+encoding whose native Python ``<`` is the collation order (in the
+spirit of Couchbase's collatejson).  Indexes store these keys and
+compare them with plain operators; :func:`from_collate_key` decodes.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Any
 
 
@@ -69,49 +73,55 @@ def type_rank(value: Any) -> int:
     raise TypeError(f"not a collatable value: {value!r}")
 
 
+def collate_key(value: Any) -> list:
+    """The collation key of ``value``: ``[rank]`` for MISSING, null,
+    false and true, ``[rank, value]`` for numbers and strings, and
+    nested keys for arrays (``[6, [keys]]``) and objects (``[7, [[name,
+    key], ...]]`` by sorted name).  Keys compare with ``<`` exactly as
+    :func:`compare` orders the values, survive a JSON round trip, and
+    share no mutable object with ``value``."""
+    rank = type_rank(value)
+    if rank < 4:
+        return [rank]
+    if rank < 6:
+        return [rank, value]
+    if rank == 6:
+        return [6, [collate_key(item) for item in value]]
+    return [7, [[name, collate_key(value[name])] for name in sorted(value)]]
+
+
+_SINGLETONS = (MISSING, None, False, True)
+
+
+def from_collate_key(key: list) -> Any:
+    """Inverse of :func:`collate_key`: a fresh value the caller owns."""
+    rank = key[0]
+    if rank < 4:
+        return _SINGLETONS[rank]
+    if rank < 6:
+        return key[1]
+    if rank == 6:
+        return [from_collate_key(item) for item in key[1]]
+    return {name: from_collate_key(item) for name, item in key[1]}
+
+
+#: Sorts after every collation key: appended to an encoded prefix it
+#: bounds every key that extends the prefix.
+TOP = [8]
+
+
 def compare(a: Any, b: Any) -> int:
     """Three-way comparison under JSON collation: -1, 0, or +1."""
     # Fast path for like-typed scalars, the bulk of index-key
     # comparisons.  type() is exact, so bools (rank 2/3, not
-    # numerically compared) fall through to the ranked path.
+    # numerically compared) fall through to the keyed path.
     kind = type(a)
     if kind is type(b) and (kind is str or kind is int or kind is float):
         if a == b:
             return 0
         return -1 if a < b else 1
-    rank_a, rank_b = type_rank(a), type_rank(b)
-    if rank_a != rank_b:
-        return -1 if rank_a < rank_b else 1
-    if rank_a in (0, 1, 2, 3):  # MISSING, NULL, FALSE, TRUE: singletons
-        return 0
-    if rank_a == 4:
-        if a == b:
-            return 0
-        return -1 if a < b else 1
-    if rank_a == 5:
-        if a == b:
-            return 0
-        return -1 if a < b else 1
-    if rank_a == 6:
-        for item_a, item_b in zip(a, b):
-            order = compare(item_a, item_b)
-            if order != 0:
-                return order
-        return (len(a) > len(b)) - (len(a) < len(b))
-    # Objects: compare as sorted key/value pair lists.
-    pairs_a = sorted(a.items())
-    pairs_b = sorted(b.items())
-    for (key_a, val_a), (key_b, val_b) in zip(pairs_a, pairs_b):
-        if key_a != key_b:
-            return -1 if key_a < key_b else 1
-        order = compare(val_a, val_b)
-        if order != 0:
-            return order
-    return (len(pairs_a) > len(pairs_b)) - (len(pairs_a) < len(pairs_b))
-
-
-#: Key function for ``sorted(...)`` under JSON collation.
-sort_key = functools.cmp_to_key(compare)
+    key_a, key_b = collate_key(a), collate_key(b)
+    return (key_a > key_b) - (key_a < key_b)
 
 
 def equal(a: Any, b: Any) -> bool:

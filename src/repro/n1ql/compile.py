@@ -36,7 +36,7 @@ import re
 from typing import Any, Callable
 
 from ..common.errors import N1qlSemanticError
-from .collation import MISSING, compare, sort_key
+from .collation import MISSING, collate_key, compare
 from .functions import SCALARS, is_aggregate
 from .printer import print_expr
 from .syntax import (
@@ -696,7 +696,7 @@ def compile_sort_key(terms, default_alias: str | None) -> Compiled:
     def key_for(env, ev):
         parts = []
         for fn, descending in compiled:
-            key = sort_key(fn(env, ev))
+            key = collate_key(fn(env, ev))
             parts.append(_Reversed(key) if descending else key)
         return tuple(parts)
 

@@ -26,6 +26,7 @@ nested-loop key-lookup join of section 4.5.3.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from ..common.errors import NoSuitableIndexError, N1qlSemanticError
@@ -178,12 +179,23 @@ def extract_bounds(where: Expr | None, alias: str) -> dict[str, Bounds]:
                     b = bound_for(path)
                     if b.low is None:
                         b.low = Literal(prefix)
-                        b.high = Literal(prefix + "￿")
+                        b.high = _prefix_successor(prefix)
+                        b.high_inclusive = False
     return bounds
 
 
 def _flip(op: str) -> str:
     return {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}[op]
+
+
+def _prefix_successor(prefix: str) -> Literal | None:
+    """The least string above every string starting with ``prefix`` (its
+    last code point plus one), or None when that code point is the
+    highest there is."""
+    last = ord(prefix[-1])
+    if last == sys.maxunicode:
+        return None
+    return Literal(prefix[:-1] + chr(last + 1))
 
 
 def _like_prefix(pattern: str) -> str:

@@ -10,33 +10,25 @@ Reduce function as a part of the index tree; this allows for very fast
 aggregation at query time"* (section 4.3.3) -- falls directly out of the
 reduce annotations here.
 
-Keys and values are arbitrary JSON values; ordering is injected as a
-comparator so the same structure serves the by-key index (string doc
-IDs), the by-seqno index (integers), view indexes (view collation on
-[emitted_key, doc_id] pairs), and GSI indexes (N1QL collation).
+Keys and values are JSON values; keys compare with Python's native
+``<``.  The by-key index stores string doc IDs and the by-seqno index
+integers; view and GSI indexes store collation keys
+(:func:`repro.n1ql.collation.collate_key`), which compare natively in
+JSON collation order.
 """
 
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from typing import Callable, Iterator
 
 from ..common.errors import InvalidArgumentError
 from ..common.jsonval import JsonValue
 from .appendlog import _HEADER, RT_NODE, AppendLog
 
-Comparator = Callable[[JsonValue, JsonValue], int]
 ReduceFn = Callable[[list[JsonValue]], JsonValue]
 RereduceFn = Callable[[list[JsonValue]], JsonValue]
-
-
-def default_compare(a: JsonValue, b: JsonValue) -> int:
-    """Comparator for homogeneous keys (strings or numbers)."""
-    if a < b:  # type: ignore[operator]
-        return -1
-    if a > b:  # type: ignore[operator]
-        return 1
-    return 0
 
 
 class BTree:
@@ -53,7 +45,6 @@ class BTree:
         self,
         log: AppendLog,
         root: int | None = None,
-        compare: Comparator = default_compare,
         reduce_fn: ReduceFn | None = None,
         rereduce_fn: RereduceFn | None = None,
         max_node_items: int | None = None,
@@ -61,7 +52,6 @@ class BTree:
     ):
         self.log = log
         self.root = root
-        self.compare = compare
         self.reduce_fn = reduce_fn
         self.rereduce_fn = rereduce_fn
         #: On-disk bytes (framing included) of every node reachable from
@@ -132,15 +122,14 @@ class BTree:
             kind, items = self._read_node(pointer)
             if kind == "kv":
                 for item_key, value in items:
-                    order = self.compare(item_key, key)
-                    if order == 0:
+                    if item_key == key:
                         return True, value
-                    if order > 0:
+                    if item_key > key:
                         break
                 return False, None
             pointer = None
             for last_key, child, _reduction in items:
-                if self.compare(key, last_key) <= 0:
+                if key <= last_key:
                     pointer = child
                     break
         return False, None
@@ -160,23 +149,14 @@ class BTree:
         reverses the iteration order (section 3.1.2 allows descending
         view scans)."""
 
-        def in_range(key: JsonValue) -> bool:
-            if start is not None:
-                order = self.compare(key, start)
-                if order < 0 or (order == 0 and not inclusive_start):
-                    return False
-            if end is not None:
-                order = self.compare(key, end)
-                if order > 0 or (order == 0 and not inclusive_end):
-                    return False
-            return True
+        in_range = _range_test(start, end, inclusive_start, inclusive_end)
 
         def before_range(last_key: JsonValue) -> bool:
             """Whole subtree ends before the range starts."""
             if start is None:
                 return False
-            order = self.compare(last_key, start)
-            return order < 0 or (order == 0 and not inclusive_start)
+            return last_key < start or (
+                last_key == start and not inclusive_start)
 
         def walk(pointer: int) -> Iterator[tuple[JsonValue, JsonValue]]:
             kind, items = self._read_node(pointer)
@@ -193,7 +173,7 @@ class BTree:
                     candidates.append((last_key, child))
                     # Children are ordered; once a child's last key passes
                     # the end bound, later children are entirely past it.
-                    if end is not None and self.compare(last_key, end) >= 0:
+                    if end is not None and last_key >= end:
                         break
                 if descending:
                     candidates.reverse()
@@ -248,16 +228,7 @@ class BTree:
         if self.reduce_fn is None:
             raise InvalidArgumentError("tree has no reduce function")
 
-        def key_in(key: JsonValue) -> bool:
-            if start is not None:
-                order = self.compare(key, start)
-                if order < 0 or (order == 0 and not inclusive_start):
-                    return False
-            if end is not None:
-                order = self.compare(key, end)
-                if order > 0 or (order == 0 and not inclusive_end):
-                    return False
-            return True
+        key_in = _range_test(start, end, inclusive_start, inclusive_end)
 
         def walk(pointer: int, lower: JsonValue | None) -> JsonValue | None:
             """Reduce the in-range part of the subtree at ``pointer``.
@@ -279,30 +250,27 @@ class BTree:
                         or (
                             previous_last is not None
                             and (
-                                self.compare(previous_last, start) > 0
-                                or (
-                                    self.compare(previous_last, start) >= 0
-                                    and inclusive_start
-                                )
+                                previous_last > start
+                                or (previous_last >= start and inclusive_start)
                             )
                         )
                     )
                     and (
                         end is None
-                        or self.compare(last_key, end) < 0
-                        or (self.compare(last_key, end) == 0 and inclusive_end)
+                        or last_key < end
+                        or (last_key == end and inclusive_end)
                     )
                 )
                 subtree_before = start is not None and (
-                    self.compare(last_key, start) < 0
-                    or (self.compare(last_key, start) == 0 and not inclusive_start)
+                    last_key < start
+                    or (last_key == start and not inclusive_start)
                 )
                 subtree_after = (
                     end is not None
                     and previous_last is not None
                     and (
-                        self.compare(previous_last, end) > 0
-                        or (self.compare(previous_last, end) == 0 and not inclusive_end)
+                        previous_last > end
+                        or (previous_last == end and not inclusive_end)
                     )
                 )
                 if subtree_before or subtree_after:
@@ -334,33 +302,20 @@ class BTree:
         """Apply upserts and deletes in one pass; returns the new tree.
 
         An insert with an existing key replaces its value.  Deletes of
-        absent keys are ignored.  Only the touched root-to-leaf paths are
-        rewritten (append-only copy-on-write)."""
-        actions: dict = {}
-        ordered_keys: list[JsonValue] = []
-
-        def key_token(key: JsonValue):
-            return json.dumps(key, sort_keys=True, separators=(",", ":"))
-
-        tokens: dict[str, JsonValue] = {}
-        for key in deletes or []:
-            token = key_token(key)
-            if token not in tokens:
-                tokens[token] = key
-                ordered_keys.append(key)
-            actions[token] = ("delete", None)
-        for key, value in inserts or []:
-            token = key_token(key)
-            if token not in tokens:
-                tokens[token] = key
-                ordered_keys.append(key)
-            actions[token] = ("insert", value)
+        absent keys are ignored; of several actions on one key the last
+        wins, inserts counting after deletes.  Only the touched
+        root-to-leaf paths are rewritten (append-only copy-on-write)."""
+        actions = [(key, "delete", None) for key in deletes or []]
+        actions.extend((key, "insert", value) for key, value in inserts or [])
         if not actions:
             return self
-
-        import functools
-        ordered_keys.sort(key=functools.cmp_to_key(self.compare))
-        work = [(key, *actions[key_token(key)]) for key in ordered_keys]
+        actions.sort(key=itemgetter(0))  # stable: equal keys keep their order
+        work: list = []
+        for action in actions:
+            if work and work[-1][0] == action[0]:
+                work[-1] = action
+            else:
+                work.append(action)
 
         self._update_written = 0
         self._update_freed = 0
@@ -368,7 +323,6 @@ class BTree:
         return BTree(
             self.log,
             new_root,
-            self.compare,
             self.reduce_fn,
             self.rereduce_fn,
             self.max_node_items,
@@ -398,10 +352,10 @@ class BTree:
         merged: list = []
         index = 0
         for action_key, action, value in work:
-            while index < len(items) and self.compare(items[index][0], action_key) < 0:
+            while index < len(items) and items[index][0] < action_key:
                 merged.append(items[index])
                 index += 1
-            if index < len(items) and self.compare(items[index][0], action_key) == 0:
+            if index < len(items) and items[index][0] == action_key:
                 index += 1  # replaced or deleted
             if action == "insert":
                 merged.append([action_key, value])
@@ -426,7 +380,7 @@ class BTree:
             is_last_child = child_index == len(items) - 1
             child_work = []
             while work_index < len(work) and (
-                is_last_child or self.compare(work[work_index][0], last_key) <= 0
+                is_last_child or work[work_index][0] <= last_key
             ):
                 child_work.append(work[work_index])
                 work_index += 1
@@ -452,6 +406,22 @@ class BTree:
         # A single kp entry may still point at a leaf or interior node;
         # either is a valid root.
         return pointer
+
+
+def _range_test(start: JsonValue, end: JsonValue, inclusive_start: bool,
+                inclusive_end: bool) -> Callable[[JsonValue], bool]:
+    """Membership test for keys in [start, end]; ``None`` is unbounded."""
+
+    def in_range(key: JsonValue) -> bool:
+        if start is not None and (
+                key < start or (key == start and not inclusive_start)):
+            return False
+        if end is not None and (
+                key > end or (key == end and not inclusive_end)):
+            return False
+        return True
+
+    return in_range
 
 
 def _chunks(items: list, size: int) -> Iterator[list]:

@@ -26,7 +26,7 @@ import json
 from typing import TYPE_CHECKING, Any
 
 from ..common.errors import TimeoutError_, ViewNotFoundError
-from ..n1ql.collation import sort_key
+from ..n1ql.collation import collate_key
 from .viewindex import ViewQueryParams
 
 if TYPE_CHECKING:
@@ -150,7 +150,7 @@ class ViewQueryCoordinator:
                 definition.reduce_fn(values, True) if len(values) > 1 else values[0]
             )
             rows.append({"key": group_key, "value": value})
-        rows.sort(key=lambda r: sort_key(r["key"]), reverse=params.descending)
+        rows.sort(key=lambda r: collate_key(r["key"]), reverse=params.descending)
         if params.skip:
             rows = rows[params.skip:]
         if params.limit is not None:
@@ -159,29 +159,10 @@ class ViewQueryCoordinator:
 
 
 def _kway_merge(streams: list[list[dict]], descending: bool) -> list[dict]:
-    """Merge per-node row lists already sorted under view collation."""
-    if descending:
-        # Descending streams arrive reverse-sorted; a concatenate-and-sort
-        # is simplest and the per-node lists are already small.
-        merged = [row for rows in streams for row in rows]
-        merged.sort(key=lambda r: sort_key((r["key"], r["id"])), reverse=True)
-        return merged
-    heap = []
-    for stream_index, rows in enumerate(streams):
-        if rows:
-            heap.append(
-                (sort_key((rows[0]["key"], rows[0]["id"])), stream_index, 0)
-            )
-    heapq.heapify(heap)
-    merged: list[dict] = []
-    while heap:
-        _key, stream_index, row_index = heapq.heappop(heap)
-        merged.append(streams[stream_index][row_index])
-        next_index = row_index + 1
-        if next_index < len(streams[stream_index]):
-            row = streams[stream_index][next_index]
-            heapq.heappush(
-                heap,
-                (sort_key((row["key"], row["id"])), stream_index, next_index),
-            )
-    return merged
+    """Merge per-node row lists already sorted under view collation
+    (reverse-sorted when ``descending``)."""
+    return list(heapq.merge(*streams, key=_row_key, reverse=descending))
+
+
+def _row_key(row: dict) -> tuple:
+    return collate_key(row["key"]), row["id"]

@@ -7,6 +7,11 @@ which stores vBucket information *in the tree itself* so that entries
 belonging to migrated partitions can be masked out during rebalance and
 failover without a rebuild.
 
+Tree keys are ``[[collate_key(emitted_key)], doc_id]``, so they compare
+with plain ``<`` in view collation order.  A bound on bare keys is
+``[[encoded]]`` (before every row of that key) or ``[[encoded, TOP]]``
+(after every row of it).
+
 A back-index (doc_id -> previously emitted keys) makes incremental
 updates possible: when a document changes, its old rows are removed and
 the new emissions inserted in one batch.
@@ -18,23 +23,19 @@ from typing import Any, Iterator
 
 from ..common.disk import SimulatedDisk
 from ..common.errors import ViewQueryError
-from ..n1ql.collation import compare
+from ..n1ql.collation import TOP, collate_key, compare, from_collate_key
 from ..storage.appendlog import AppendLog
 from .mapreduce import ReduceFn, ViewDefinition
 
-#: Sentinel bounds: (key, doc_id) composite keys are compared
-#: lexicographically, so a range on bare keys uses these to span every
-#: doc_id under one key.  ``{}`` sorts after any scalar/array under view
-#: collation; LOW sorts before any string doc id.
-_LOW_DOCID = ""
-_HIGH_DOCID = {"￿": "￿"}
+
+def _before(key: Any) -> list:
+    """Tree bound just before every row emitted with ``key``."""
+    return [[collate_key(key)]]
 
 
-def _composite_compare(a, b) -> int:
-    order = compare(a[0], b[0])
-    if order != 0:
-        return order
-    return compare(a[1], b[1])
+def _after(key: Any) -> list:
+    """Tree bound just after every row emitted with ``key``."""
+    return [[collate_key(key), TOP]]
 
 
 class ViewIndex:
@@ -62,11 +63,10 @@ class ViewIndex:
             tree_reduce = tree_rereduce = None
         self.tree = BTree(
             self.log,
-            compare=_composite_compare,
             reduce_fn=tree_reduce,
             rereduce_fn=tree_rereduce,
         )
-        #: doc_id -> list of [emitted_key, doc_id] composite keys.
+        #: doc_id -> list of [[encoded_key], doc_id] tree keys.
         self.back_index: dict[str, list] = {}
         #: vBuckets that currently have rows in the tree.
         self.vbuckets_present: set[int] = set()
@@ -80,7 +80,7 @@ class ViewIndex:
         inserts = []
         keys = []
         for emitted_key, emitted_value in rows:
-            composite = [emitted_key, doc_id]
+            composite = [[collate_key(emitted_key)], doc_id]
             inserts.append((composite, {"v": emitted_value, "vb": vbucket_id}))
             keys.append(composite)
         if not deletes and not inserts:
@@ -123,7 +123,6 @@ class ViewIndex:
         new_log = AppendLog(self.disk.open(temp_name))
         new_tree = BTree(
             new_log,
-            compare=self.tree.compare,
             reduce_fn=self.tree.reduce_fn,
             rereduce_fn=self.tree.rereduce_fn,
         )
@@ -142,15 +141,15 @@ class ViewIndex:
 
     def _bounds(self, params: "ViewQueryParams"):
         if params.key is not None:
-            return ([params.key, _LOW_DOCID], [params.key, _HIGH_DOCID], True)
+            return (_before(params.key), _after(params.key), True)
         start = end = None
         if params.startkey is not None:
-            start = [params.startkey, _LOW_DOCID]
+            start = _before(params.startkey)
         if params.endkey is not None:
             if params.inclusive_end:
-                end = [params.endkey, _HIGH_DOCID]
+                end = _after(params.endkey)
             else:
-                end = [params.endkey, _LOW_DOCID]
+                end = _before(params.endkey)
         return (start, end, params.inclusive_end)
 
     def scan(self, params: "ViewQueryParams",
@@ -163,15 +162,15 @@ class ViewIndex:
                 yield from self.scan(sub, active_vbuckets)
             return
         start, end, _inclusive = self._bounds(params)
-        # Composite bounds already encode end inclusivity: an inclusive
-        # endkey becomes [endkey, HIGH] (after every doc id), an exclusive
-        # one becomes [endkey, LOW] (before every doc id).
-        for composite, entry in self.tree.range(
+        # The bounds already encode end inclusivity: an inclusive endkey
+        # sorts after every row of that key, an exclusive one before.
+        for (encoded, doc_id), entry in self.tree.range(
             start=start, end=end, descending=params.descending,
         ):
             if active_vbuckets is not None and entry["vb"] not in active_vbuckets:
                 continue
-            yield {"id": composite[1], "key": composite[0], "value": entry["v"]}
+            yield {"id": doc_id, "key": from_collate_key(encoded[0]),
+                   "value": entry["v"]}
 
     def reduce(self, params: "ViewQueryParams",
                active_vbuckets: set[int] | None = None) -> Any:

@@ -1,18 +1,21 @@
 """Tests for JSON collation and N1QL expression evaluation (MISSING and
 NULL semantics, operators, functions)."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.n1ql.collation import (
     MISSING,
+    collate_key,
     compare,
     equal,
+    from_collate_key,
     less,
     max_value,
     min_value,
-    sort_key,
     type_rank,
 )
 from repro.n1ql.expressions import Env, Evaluator
@@ -28,6 +31,26 @@ json_values = st.recursive(
     | st.dictionaries(st.text(max_size=4), children, max_size=3),
     max_leaves=8,
 )
+
+#: Collatable values: JSON plus MISSING, nested too, plus the integers
+#: and floats that collate equal but must keep their types.
+keyed_values = st.recursive(
+    st.just(MISSING) | st.sampled_from([1, 1.0, True, 0, False])
+    | json_values,
+    lambda children: st.lists(children, max_size=2)
+    | st.dictionaries(st.text(max_size=2), children, max_size=2),
+    max_leaves=4,
+)
+
+
+def typed(value):
+    """``value`` with every scalar tagged by its type, so ``1``, ``1.0``
+    and ``True`` stay distinct under ``==``."""
+    if isinstance(value, dict):
+        return ("object", sorted((k, typed(v)) for k, v in value.items()))
+    if isinstance(value, (list, tuple)):
+        return ("array", [typed(v) for v in value])
+    return (type(value).__name__, value)
 
 
 def eval_expr(text, env=None, params=None, default_alias=None):
@@ -71,13 +94,26 @@ class TestCollation:
     @given(json_values, json_values, json_values)
     @settings(max_examples=60)
     def test_transitivity_via_sorting(self, a, b, c):
-        ordered = sorted([a, b, c], key=sort_key)
+        ordered = sorted([a, b, c], key=collate_key)
         for i in range(2):
             assert compare(ordered[i], ordered[i + 1]) <= 0
 
     @given(json_values)
     def test_reflexive(self, a):
         assert compare(a, a) == 0
+
+    @given(keyed_values, keyed_values)
+    def test_compare_has_the_sign_of_the_key_order(self, a, b):
+        key_a, key_b = collate_key(a), collate_key(b)
+        assert compare(a, b) == (key_a > key_b) - (key_a < key_b)
+
+    @given(keyed_values)
+    def test_collate_key_round_trips(self, value):
+        key = collate_key(value)
+        assert typed(from_collate_key(key)) == typed(value)
+        # Indexes keep keys as JSON: the round trip survives that too.
+        stored = json.loads(json.dumps(key))
+        assert typed(from_collate_key(stored)) == typed(value)
 
     def test_min_max(self):
         assert max_value([1, "a", None]) == "a"
