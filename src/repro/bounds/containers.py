@@ -11,8 +11,8 @@ consumer pump in another), a ``len()`` cap check, or an explicit
 
 Receiver matching is deliberately shallow, like the call-graph
 builder's type inference: a site on ``self.X`` binds to the enclosing
-class's container ``X``; a site on any other receiver (``vb.
-dirty_queue.append`` from the engine) matches *every* container with
+class's container ``X``; a site on any other receiver (``statement.
+order_by.append`` from the parser) matches *every* container with
 that attribute name.  Name collisions therefore err toward "bounded"
 (any same-named drain counts), never toward a false positive.
 

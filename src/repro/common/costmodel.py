@@ -55,7 +55,7 @@ def cost(bound: str) -> Callable[[F], F]:
     """Declare ``fn``'s per-call cost bound (one of :data:`COSTS`).
 
     ``n`` is the size of the per-call input -- the keys in one multi-op,
-    the rows in one batch, the dirty queue slice one pump drains -- not
+    the rows in one batch, the change-buffer slice one flush drains -- not
     global state.  The bound is enforced statically by ``repro.hotpath``
     (callees must declare costs no greater than their callers'), never
     at runtime.

@@ -76,6 +76,11 @@ class Document:
     #: True when the value is not resident in memory (ejected); the body
     #: must be fetched from the storage engine.  Distinct from tombstones.
     ejected: bool = field(default=False, compare=False)
+    #: Cache for :attr:`memory_footprint`; -1 until first asked.  A field
+    #: rather than ``functools.cached_property``: on CPython 3.11 that
+    #: writes through a per-instance ``__dict__`` it first materialises,
+    #: and perfbench's insert latency measured worse with it.
+    _footprint: int = field(default=-1, init=False, compare=False, repr=False)
 
     @property
     def key(self) -> str:
@@ -85,9 +90,13 @@ class Document:
         """A document whose value the caller may mutate freely."""
         return Document(self.meta, deep_copy(self.value), self.ejected)
 
+    @property
     def memory_footprint(self) -> int:
-        """Bytes charged against the bucket quota for this cache entry."""
-        base = 64 + len(self.meta.key.encode("utf-8"))
-        if self.value is not None and not self.ejected:
-            base += sizeof(self.value)
-        return base
+        """Bytes charged against the bucket quota for this cache entry,
+        sized once per (frozen) document."""
+        if self._footprint < 0:
+            base = 64 + len(self.meta.key.encode("utf-8"))
+            if self.value is not None and not self.ejected:
+                base += sizeof(self.value)
+            object.__setattr__(self, "_footprint", base)
+        return self._footprint

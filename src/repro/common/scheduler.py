@@ -2,7 +2,7 @@
 
 Section 2.3.2 of the paper: *"Couchbase Server made a design choice to
 update all other components of the database asynchronously when a data
-update occurs."*  The flusher (disk write queue), intra-cluster
+update occurs."*  The flusher (a cursor on the change buffer), intra-cluster
 replicator, view engine, GSI projector/indexer, and XDCR are all
 background consumers of work queues.
 

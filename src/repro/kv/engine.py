@@ -2,11 +2,12 @@
 
 This is the paper's **data service** core (section 4.3.3).  Writes land
 in the per-vBucket hash tables and are acknowledged immediately
-(memory-first, section 2.3.3); a flusher pump drains the disk write
-queue to the append-only storage files; an item pager ejects
+(memory-first, section 2.3.3) and recorded in an ordered per-vBucket
+change buffer.  That buffer is the one mutation queue: DCP streams
+(replication, views, GSI, XDCR) and the flusher, which persists it to
+the append-only storage files, are cursors on it.  An item pager ejects
 not-recently-used clean values when the bucket's memory quota is
-exceeded; and every mutation is recorded in an ordered per-vBucket
-change buffer that DCP streams (replication, views, GSI, XDCR) consume.
+exceeded.
 
 vBuckets move through the states of section 4.3.1 -- *active* (serves
 everything), *replica* (accepts only replication traffic), *pending*
@@ -21,7 +22,6 @@ from dataclasses import replace
 from typing import Callable, Iterator
 
 from ..common import tracing
-from ..common.boundsmodel import bounded
 from ..common.costmodel import cost, hot_path
 from ..common.clock import Clock, VirtualClock
 from ..common.disk import SimulatedDisk
@@ -87,12 +87,14 @@ class VBucket:
         self.high_seqno = self.store.update_seq
         self.persisted_seqno = self.store.update_seq
         self.high_cas = 0
-        #: Ordered mutations not yet trimmed; DCP's in-memory source.
+        #: Ordered mutations not yet trimmed; DCP's in-memory source and
+        #: the flusher's queue.
         self.change_buffer: list[Document] = []
         #: Seqno of the last mutation *before* the buffer's first entry.
         self.buffer_start_seqno = self.store.update_seq
-        #: Keys with un-persisted mutations, in arrival order.
-        self.dirty_queue: list[str] = []
+        #: The flusher's cursor: the buffer's last ``unflushed`` entries
+        #: are not on disk yet.  Every seqno <= ``persisted_seqno`` is.
+        self.unflushed = 0
         #: History branches: (vb_uuid, seqno at which this branch began).
         self.failover_log: list[tuple[int, int]] = [(self.uuid, self.high_seqno)]
         #: For replicas: the producer's failover log adopted at stream
@@ -107,17 +109,14 @@ class VBucket:
 
     def record_change(self, doc: Document) -> None:
         self.change_buffer.append(doc)
+        self.unflushed += 1
         if len(self.change_buffer) > self.MAX_BUFFER:
             self.trim_change_buffer()
 
     def trim_change_buffer(self) -> None:
         """Drop buffered mutations already persisted; DCP backfills those
         from the storage snapshot instead."""
-        keep_from = 0
-        for index, doc in enumerate(self.change_buffer):
-            if doc.meta.seqno > self.persisted_seqno:
-                break
-            keep_from = index + 1
+        keep_from = len(self.change_buffer) - self.unflushed
         if keep_from:
             self.buffer_start_seqno = self.change_buffer[keep_from - 1].meta.seqno
             del self.change_buffer[:keep_from]
@@ -267,17 +266,14 @@ class KVEngine:
         ):
             raise CasMismatchError(key, cas, entry.doc.meta.cas)
 
-    @bounded("consumer-drained", "dirty_queue is trimmed by the flusher "
-                                 "pump one batch per round")
     def _apply_mutation(self, vb: VBucket, doc: Document) -> None:
         """Common tail of every active-side write: cache it, queue it for
-        disk, buffer it for DCP, notify listeners."""
+        disk and DCP, notify listeners."""
         tracing.record_write(f"kv/{self.node_name}/{self.bucket_name}")
         self._ensure_quota_headroom(doc)
         entry = vb.hashtable.set(doc, dirty=True)
         entry.locked_until = 0.0  # any successful mutation releases the lock
         entry.lock_cas = 0
-        vb.dirty_queue.append(doc.key)
         vb.record_change(doc)
         self.metrics.inc("kv.mutations")
         for listener in self.mutation_listeners:
@@ -643,7 +639,6 @@ class KVEngine:
         for doc in docs:
             tracing.record_write(f"kv/{self.node_name}/{self.bucket_name}")
             vb.hashtable.set(doc, dirty=True)
-            vb.dirty_queue.append(doc.key)
             vb.high_seqno = max(vb.high_seqno, doc.meta.seqno)
             vb.high_cas = max(vb.high_cas, doc.meta.cas)
             vb.record_change(doc)
@@ -654,45 +649,33 @@ class KVEngine:
     @hot_path
     @cost("O(n)")
     def flush(self, max_batch: int | None = None) -> bool:
-        """Drain the disk write queue (the flusher).  Persists up to
-        ``max_batch`` mutations across vBuckets, commits headers, marks
-        entries clean, and advances persisted seqnos.  Returns True if
-        anything was written."""
+        """The flusher: persist up to ``max_batch`` mutations across
+        vBuckets, taking each vBucket's oldest unflushed change-buffer
+        entries in seqno order, then commit headers, mark entries clean,
+        and advance persisted seqnos.  Returns True if anything was
+        written."""
         budget = max_batch if max_batch is not None else self.FLUSH_BATCH
         self.metrics.observe("kv.queue_depth", self.pending_writes())
         wrote = False
         for vb in self.vbuckets.values():
-            if not vb.dirty_queue or budget <= 0:
+            if not vb.unflushed or budget <= 0:
                 continue
-            keys, vb.dirty_queue = vb.dirty_queue[:budget], vb.dirty_queue[budget:]
-            budget -= len(keys)
-            docs = []
-            seen = set()
-            for key in keys:
-                if key in seen:
-                    continue
-                seen.add(key)
-                entry = vb.hashtable.peek(key)
-                if entry is None:
-                    continue
-                doc = entry.doc
-                if doc.ejected:
-                    continue  # already persisted (that's how it got ejected)
-                docs.append(doc)
-            if docs:
-                tracing.record_write(f"kv/{self.node_name}/{self.bucket_name}")
-                vb.store.save_docs(docs)
-                vb.store.write_header(sync=True)
-                for doc in docs:
-                    vb.hashtable.mark_clean(doc.key, doc.meta.seqno)
-                vb.persisted_seqno = max(vb.persisted_seqno,
-                                         max(d.meta.seqno for d in docs))
-                self.metrics.inc("kv.flushed", len(docs))
-                wrote = True
+            start = len(vb.change_buffer) - vb.unflushed
+            docs = vb.change_buffer[start:start + budget]
+            vb.unflushed -= len(docs)
+            budget -= len(docs)
+            tracing.record_write(f"kv/{self.node_name}/{self.bucket_name}")
+            written = vb.store.save_docs(docs)
+            vb.store.write_header(sync=True)
+            for doc in docs:
+                vb.hashtable.mark_clean(doc.key, doc.meta.seqno)
+            vb.persisted_seqno = docs[-1].meta.seqno
+            self.metrics.inc("kv.flushed", written)
+            wrote = True
         return wrote
 
     def pending_writes(self) -> int:
-        return sum(len(vb.dirty_queue) for vb in self.vbuckets.values())
+        return sum(vb.unflushed for vb in self.vbuckets.values())
 
     @hot_path
     @cost("O(n)")
@@ -705,7 +688,7 @@ class KVEngine:
         from ..storage.compaction import Compactor
         compactor = Compactor(self.disk, threshold=threshold)
         for vb in self.vbuckets.values():
-            if vb.dirty_queue:
+            if vb.unflushed:
                 continue  # let the flusher drain first
             if not compactor.needs_compaction(vb.store):
                 continue
@@ -765,7 +748,7 @@ class KVEngine:
         """Ground truth by full re-summation; tests assert it always
         matches the incremental counter."""
         return sum(
-            entry.doc.memory_footprint()
+            entry.doc.memory_footprint
             for vb in self.vbuckets.values()
             for _key, entry in vb.hashtable.items()
         )
@@ -773,7 +756,7 @@ class KVEngine:
     def _ensure_quota_headroom(self, incoming: Document) -> None:
         if self.quota_bytes is None:
             return
-        needed = incoming.memory_footprint()
+        needed = incoming.memory_footprint
         if self._memory_used + needed <= self.quota_bytes * self.HIGH_WATERMARK:
             return
         self.run_item_pager()

@@ -81,13 +81,13 @@ class HashTable:
         """Insert or replace an entry; preserves an existing lock."""
         old = self._entries.get(doc.key)
         if old is not None:
-            self.charge(-old.doc.memory_footprint())
+            self.charge(-old.doc.memory_footprint)
         entry = CacheEntry(doc, dirty)
         if old is not None:
             entry.locked_until = old.locked_until
             entry.lock_cas = old.lock_cas
         self._entries[doc.key] = entry
-        self.charge(doc.memory_footprint())
+        self.charge(doc.memory_footprint)
         return entry
 
     def replace_doc(self, entry: CacheEntry, **changes) -> None:
@@ -96,12 +96,12 @@ class HashTable:
         flusher) and re-charge the footprint delta."""
         old = entry.doc
         entry.doc = replace(old, **changes)
-        self.charge(entry.doc.memory_footprint() - old.memory_footprint())
+        self.charge(entry.doc.memory_footprint - old.memory_footprint)
 
     def remove(self, key: str) -> None:
         entry = self._entries.pop(key, None)
         if entry is not None:
-            self.charge(-entry.doc.memory_footprint())
+            self.charge(-entry.doc.memory_footprint)
 
     def eject_value(self, key: str) -> bool:
         """Value eviction: drop the body, keep key + metadata resident.

@@ -77,16 +77,16 @@ class VBucketStore:
 
     # -- write path -------------------------------------------------------------
 
-    def save_docs(self, docs: list[Document]) -> None:
+    def save_docs(self, docs: list[Document]) -> int:
         """Persist a batch of mutations (the flusher's unit of work).
 
         Every doc must already carry its assigned seqno.  Repeated
         updates to one key within the batch are deduplicated to the
         newest -- the paper's point that asynchrony lets "repeated updates
         to an object be aggregated at the level of persistence"
-        (section 2.3.2)."""
+        (section 2.3.2).  Returns the number of documents written."""
         if not docs:
-            return
+            return 0
         newest: dict[str, Document] = {}
         for doc in docs:
             newest[doc.key] = doc
@@ -136,6 +136,7 @@ class VBucketStore:
         self.by_seq = self.by_seq.batch_update(
             inserts=seq_inserts, deletes=seq_deletes
         )
+        return len(newest)
 
     def write_header(self, sync: bool = True) -> None:
         """Commit point: append a header naming the current tree roots."""

@@ -63,14 +63,14 @@ class TestDocument:
     def test_footprint_grows_with_value(self):
         small = Document(DocumentMeta(key="k"), "x")
         big = Document(DocumentMeta(key="k"), "x" * 1000)
-        assert big.memory_footprint() > small.memory_footprint()
+        assert big.memory_footprint > small.memory_footprint
 
     def test_ejected_doc_charges_metadata_only(self):
         resident = Document(DocumentMeta(key="k"), "x" * 1000)
         ejected = Document(DocumentMeta(key="k"), None, ejected=True)
-        assert ejected.memory_footprint() < resident.memory_footprint()
+        assert ejected.memory_footprint < resident.memory_footprint
 
     def test_footprint_includes_key_bytes(self):
         short = Document(DocumentMeta(key="k"), None)
         long_key = Document(DocumentMeta(key="k" * 100), None)
-        assert long_key.memory_footprint() > short.memory_footprint()
+        assert long_key.memory_footprint > short.memory_footprint

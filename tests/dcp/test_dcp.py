@@ -153,6 +153,24 @@ class TestBackfill:
         assert [m.key for m in items_of(drain(stream))] == ["k7", "k8", "k9"]
 
 
+class TestFlusherCursor:
+    def test_resume_after_partial_flush_and_trim_misses_nothing(
+            self, engine, producer):
+        """A trim drops only what the flusher has persisted, so a stream
+        resuming behind it backfills from disk and then reads the still
+        unflushed mutations from the buffer."""
+        for i in range(10):
+            engine.upsert(VB, f"k{i}", i)
+        engine.upsert(VB, "k0", "again")
+        engine.flush(max_batch=4)
+        engine.vbuckets[VB].trim_change_buffer()
+        stream = producer.stream_request(VB, start_seqno=2)
+        keys = [m.key for m in items_of(drain(stream))]
+        engine.flush()
+        keys += [m.key for m in items_of(drain(stream))]
+        assert keys == [f"k{i}" for i in range(2, 10)] + ["k0"]
+
+
 class TestStreamRequestValidation:
     def test_future_seqno_demands_rollback(self, engine, producer):
         engine.upsert(VB, "k", 1)

@@ -340,6 +340,45 @@ class TestPersistence:
         assert not vb.store.contains("b")
         assert vb.high_seqno == 1
 
+    @staticmethod
+    def flush_a_prefix(engine):
+        """k0..k9 at seqnos 1-10, k0 again at 11, then a 4-mutation flush:
+        the batch holds k0's old version while its newest is in memory."""
+        for i in range(10):
+            engine.upsert(VB, f"k{i}", i)
+        engine.upsert(VB, "k0", "again")
+        engine.flush(max_batch=4)
+
+    def test_partial_flush_persists_a_seqno_prefix(self, engine):
+        self.flush_a_prefix(engine)
+        assert engine.vbuckets[VB].persisted_seqno == 4
+        assert engine.pending_writes() == 7
+        assert not engine.observe(VB, "k9").persisted
+        assert not engine.observe(VB, "k0").persisted
+        assert engine.observe(VB, "k3").persisted
+
+    def test_crash_keeps_every_seqno_up_to_persisted(self, engine):
+        self.flush_a_prefix(engine)
+        vb = engine.vbuckets[VB]
+        persisted = vb.persisted_seqno
+        latest = {key: entry.doc.meta.seqno for key, entry in vb.hashtable.items()}
+        engine.disk.crash()
+
+        recovered = KVEngine("node1", "default", disk=engine.disk)
+        recovered.create_vbucket(VB)
+        store = recovered.vbuckets[VB].store
+        assert recovered.vbuckets[VB].high_seqno == persisted
+        for key, seqno in latest.items():
+            if seqno <= persisted:
+                assert store.get(key).meta.seqno == seqno
+
+    def test_flush_persists_the_mutation_not_the_lock_cas(self, engine):
+        result = engine.upsert(VB, "k", 1)
+        locked = engine.get_and_lock(VB, "k")
+        assert locked.meta.cas != result.cas
+        engine.flush()
+        assert engine.vbuckets[VB].store.get("k").meta.cas == result.cas
+
 
 class TestEviction:
     def make_full_engine(self, policy="value"):
